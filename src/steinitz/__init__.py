@@ -33,7 +33,6 @@ from .supernatural import (
     ONE,
     Exponent,
     Infinity,
-    PositiveRational,
     SupernaturalNumber,
     divides,
     exponent_at,
@@ -107,7 +106,6 @@ __all__ = [
     "NotADivisorError",
     "NotPrimeError",
     "ONE",
-    "PositiveRational",
     "RANK_ORDER_CAP",
     "SpanCapExceededError",
     "SteinitzError",

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from string import ascii_letters, digits
 
 from .errors import (
     DuplicatePrimeError,
@@ -70,15 +71,15 @@ def _tokenize(text: str) -> list[_Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             tokens.append(_Token("number", text[i:j], i))
             i = j
-        elif ch.isalpha():
+        elif ch in ascii_letters:
             j = i
-            while j < n and text[j].isalpha():
+            while j < n and text[j] in ascii_letters:
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j

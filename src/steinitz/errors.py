@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-integer guard."""
+
+
+def _check_positive_int(x, what: str) -> None:
+    """Raise ValueError unless x is an int (not a bool) of at least 1."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
 
 
 class SteinitzError(Exception):

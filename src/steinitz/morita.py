@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .errors import DenominatorDoesNotDivideError, NotADivisorError
+from .errors import DenominatorDoesNotDivideError, NotADivisorError, _check_positive_int
 from .supernatural import (
     SupernaturalNumber,
     divides,
@@ -75,8 +75,7 @@ def are_morita_equivalent(a: AlgebraDescriptor, b: AlgebraDescriptor) -> bool:
 
 def matrix_over(a: AlgebraDescriptor, k: int) -> AlgebraDescriptor:
     """Descriptor of the k x k matrix algebra over a."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"matrix order must be a positive integer, got {k!r}")
+    _check_positive_int(k, "matrix order")
     return AlgebraDescriptor(mul(from_natural(k), a.steinitz))
 
 
@@ -130,8 +129,7 @@ def decompose_matrix_factor(a: AlgebraDescriptor, n: int) -> AlgebraDescriptor:
 
     Requires n to divide st(A); round-trips with matrix_over.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix order must be a positive integer, got {n!r}")
+    _check_positive_int(n, "matrix order")
     if not divides(from_natural(n), a.steinitz):
         raise NotADivisorError(f"{n} does not divide {a.steinitz}")
     return AlgebraDescriptor(scale(a.steinitz, Fraction(1, n)))
@@ -146,8 +144,7 @@ def enumerate_morita_class(
     already produced by a smaller fraction are skipped, so the list is
     duplicate-free and deterministic.
     """
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    _check_positive_int(bound, "bound")
     out: list[SupernaturalNumber] = []
     seen: set[SupernaturalNumber] = set()
     for n in range(1, bound + 1):

@@ -11,7 +11,7 @@ instead of silently grinding on.
 
 from __future__ import annotations
 
-from .errors import FactorizationError
+from .errors import FactorizationError, _check_positive_int
 
 #: Largest trial divisor attempted when the caller does not override it.
 DEFAULT_TRIAL_BOUND = 1 << 20
@@ -80,8 +80,7 @@ def factorize(n: int, trial_bound: int | None = None) -> dict[int, int]:
     Raises FactorizationError when a composite cofactor remains whose least
     prime factor exceeds ``trial_bound``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"can only factor a positive integer, got {n!r}")
+    _check_positive_int(n, "the number to factor")
     bound = _default_trial_bound if trial_bound is None else trial_bound
     if bound < 2:
         raise ValueError(f"trial bound must be at least 2, got {bound}")

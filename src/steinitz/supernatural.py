@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping, Union
 
-from .errors import DenominatorDoesNotDivideError, NotPrimeError
+from .errors import DenominatorDoesNotDivideError, NotPrimeError, _check_positive_int
 from .primes import factorize, is_prime
 
 
@@ -81,9 +81,6 @@ INF = Infinity()
 
 #: A prime exponent: a finite nonnegative integer or INF.
 Exponent = Union[int, Infinity]
-
-#: Reduced positive fraction; positivity is validated where it matters.
-PositiveRational = Fraction
 
 
 def is_infinite(e: Exponent) -> bool:
@@ -164,8 +161,7 @@ ONE = SupernaturalNumber()
 
 def from_natural(n: int, trial_bound: int | None = None) -> SupernaturalNumber:
     """Embed a positive integer via its prime factorization."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"expected a positive integer, got {n!r}")
+    _check_positive_int(n, "n")
     return SupernaturalNumber(0, factorize(n, trial_bound))
 
 

@@ -1,12 +1,14 @@
 """Finite matrix-tower grounding for the symbolic calculus.
 
 Everything here is exact: square matrices over the rational field, unital
-block-diagonal embeddings along a divisibility chain of orders, integer
-ranks from fraction-free elimination, and seeded random idempotents.  The
-verification entry points push an idempotent up a tower and compare the
-observed corner data against the symbolic rank/corner laws, producing a
-line-oriented report (``PASS|FAIL <check> stage=<n> expected=<v> got=<v>``)
-with stable ordering.
+block-diagonal embeddings along a divisibility chain of orders, and seeded
+random idempotents.  One fraction-free elimination routine (``_echelon``)
+serves all the linear algebra: ranks and span dimensions count its pivots,
+corner bases take its pivot columns, and inverses come from its reduced
+form of [m | I].  The verification entry points push an idempotent up a
+tower and compare the observed corner data against the symbolic
+rank/corner laws, producing a line-oriented report
+(``PASS|FAIL <check> stage=<n> expected=<v> got=<v>``) with stable ordering.
 
 No floating point is used anywhere in this module.
 """
@@ -25,6 +27,7 @@ from .errors import (
     NotADivisorError,
     SpanCapExceededError,
     ZeroIdempotentError,
+    _check_positive_int,
 )
 from .supernatural import (
     INF,
@@ -153,6 +156,17 @@ def _matmul_rows(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]
     return out
 
 
+def _strip_content(row: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries, in place (same size)."""
+    g = 0
+    for x in row:
+        if x:
+            g = math.gcd(g, x)
+    if g > 1:
+        row[:] = [x // g for x in row]
+    return row
+
+
 def _primitive_int_row(row: Sequence[Fraction]) -> list[int] | None:
     """Scale a rational row to coprime integers; None for the zero row."""
     denom_lcm = 1
@@ -160,24 +174,32 @@ def _primitive_int_row(row: Sequence[Fraction]) -> list[int] | None:
         if x:
             denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
     ints = [x.numerator * (denom_lcm // x.denominator) for x in row]
-    g = 0
-    for v in ints:
-        if v:
-            g = math.gcd(g, v)
-    if g == 0:
+    if not any(ints):
         return None
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    return _strip_content(ints[:])
 
 
-def _rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free integer elimination.
+def _echelon(
+    rows: Iterable[Sequence[Fraction]], reduced: bool = False
+) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form over the rationals, and its pivot columns.
 
-    Rows are rescaled to primitive integer vectors (rank-invariant), then
-    eliminated by cross-multiplication with per-row content stripping to
-    control coefficient growth.  Rows with a zero in the pivot column are
-    left untouched, so block structure costs nothing.
+    The one elimination routine behind rank, column bases and inverses.
+    Rows are rescaled to primitive integer vectors (row space unchanged),
+    then eliminated by cross-multiplication with per-row content stripping
+    to control coefficient growth.  Rows with a zero in the pivot column are
+    left untouched, so block structure costs nothing.  With ``reduced`` each
+    pivot column is also cleared above its pivot, so the pivot block is
+    diagonal (its entries need not be 1).
+
+    Stored rows are exact-size lists (slices and concatenations, divided in
+    place), not over-allocated comprehension results: for [m | I] at order
+    32 those pass CPython's 512-byte small-object limit, and kept for the
+    whole elimination they raised the peak resident size of corner maps.
+
+    Returns the nonzero echelon rows, one per pivot, and the pivot columns in
+    increasing order: their number is the rank, and they index the first
+    maximal independent set of columns.
     """
     work: list[list[int]] = []
     width = 0
@@ -186,9 +208,8 @@ def _rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
         ints = _primitive_int_row(row)
         if ints is not None:
             work.append(ints)
-    if not work:
-        return 0
     nrows = len(work)
+    pivots: list[int] = []
     rank = 0
     for c in range(width):
         piv = None
@@ -204,25 +225,31 @@ def _rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
         for i in range(rank + 1, nrows):
             row = work[i]
             v = row[c]
-            if not v:
-                continue
-            new = row[:c] + [pval * row[k] - v * prow[k] for k in range(c, width)]
-            g = 0
-            for x in new:
-                if x:
-                    g = math.gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            work[i] = new
+            if v:
+                # Rows below the pivot are zero before column c.
+                work[i] = _strip_content(
+                    row[:c] + [pval * row[k] - v * prow[k] for k in range(c, width)]
+                )
+        if reduced:
+            for i in range(rank):
+                row = work[i]
+                v = row[c]
+                if v:
+                    # Rows above are not zero before column c; the pivot row is.
+                    work[i] = _strip_content(
+                        [pval * x for x in row[:c]]
+                        + [pval * row[k] - v * prow[k] for k in range(c, width)]
+                    )
+        pivots.append(c)
         rank += 1
         if rank == nrows or rank == width:
             break
-    return rank
+    return work[:rank], pivots
 
 
 def exact_rank(a: MatrixStage) -> int:
     """Rank of a over the rational field, computed exactly."""
-    return _rank_of_rows(a.entries)
+    return len(_echelon(a.entries)[1])
 
 
 def relative_rank(a: MatrixStage) -> Fraction:
@@ -236,8 +263,7 @@ def embed(a: MatrixStage, k: int) -> MatrixStage:
     This is the fixed embedding convention M_n -> M_{nk}; it maps the
     identity to the identity and is an algebra homomorphism.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"multiplicity must be a positive integer, got {k!r}")
+    _check_positive_int(k, "multiplicity")
     return kron(MatrixStage.identity(k), a)
 
 
@@ -324,59 +350,13 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     so the result is exactly idempotent with integer entries and is
     reproducible per seed.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"order must be a positive integer, got {n!r}")
+    _check_positive_int(n, "order")
     if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
         raise ValueError(f"rank must satisfy 0 <= r <= {n}, got {r!r}")
     rng = random.Random(seed)
     p, p_inv = _unimodular(n, rng)
     e = p * MatrixStage.rank_projector(n, r) * p_inv
     return IdempotentElement(n, e, r, Fraction(r, n))
-
-
-def _column_space_basis(m: MatrixStage) -> list[tuple[Fraction, ...]]:
-    """A maximal independent subset of the columns, in column order."""
-    n = m.order
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    picked: list[tuple[Fraction, ...]] = []
-    for j in range(n):
-        vec = [m.entries[i][j] for i in range(n)]
-        for brow, p in zip(echelon, pivots):
-            f = vec[p]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, brow)]
-        pivot = next((k for k, x in enumerate(vec) if x), None)
-        if pivot is None:
-            continue
-        scale_by = _ONE / vec[pivot]
-        echelon.append([x * scale_by for x in vec])
-        pivots.append(pivot)
-        picked.append(tuple(m.entries[i][j] for i in range(n)))
-    return picked
-
-
-def _inverse(m: MatrixStage) -> MatrixStage:
-    n = m.order
-    a = [list(row) for row in m.entries]
-    b = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        b[c], b[piv] = b[piv], b[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        b[c] = [x / f for x in b[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = a[i][c]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-                b[i] = [x - f * y for x, y in zip(b[i], b[c])]
-    return MatrixStage(b)
 
 
 @dataclass(frozen=True)
@@ -426,13 +406,32 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     if e.rank == 0:
         raise ZeroIdempotentError("the zero idempotent cuts out the zero corner")
     n, r = e.stage_order, e.rank
-    image = _column_space_basis(e.matrix)
-    complement = _column_space_basis(MatrixStage.identity(n) - e.matrix)
+    ident = MatrixStage.identity(n)
+    ent, comp = e.matrix.entries, (ident - e.matrix).entries
+    # The pivot columns of an echelon form are the first maximal
+    # independent set of columns.
+    image = _echelon(ent)[1]
+    complement = _echelon(comp)[1]
     if len(image) != r or len(complement) != n - r:
         raise RuntimeError("idempotent splitting produced unexpected dimensions")
-    cols = image + complement
-    basis = MatrixStage(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
-    to_diag = _inverse(basis)
+    basis = MatrixStage(
+        tuple(
+            tuple(row[j] for j in image) + tuple(crow[j] for j in complement)
+            for row, crow in zip(ent, comp)
+        )
+    )
+    # Reduced echelon form of [basis | I] is [D | D * basis^-1], D diagonal.
+    rows, pivots = _echelon(
+        (row + irow for row, irow in zip(basis.entries, ident.entries)), reduced=True
+    )
+    if pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    to_diag = MatrixStage(
+        tuple(
+            tuple(Fraction(x, row[i]) if x else _ZERO for x in row[n:])
+            for i, row in enumerate(rows)
+        )
+    )
     if to_diag * e.matrix * basis != MatrixStage.rank_projector(n, r):
         raise RuntimeError("change of basis failed to diagonalize the idempotent")
     return CornerIsomorphism(rank=r, to_diagonal=to_diag, from_diagonal=basis)
@@ -449,7 +448,7 @@ def corner_span_dimension(e: IdempotentElement | MatrixStage) -> int:
         for j in range(n):
             rj = ent[j]
             rows.append([col[a] * rj[b] for a in range(n) for b in range(n)])
-    return _rank_of_rows(rows)
+    return len(_echelon(rows)[1])
 
 
 def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> bool:
@@ -478,7 +477,7 @@ def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> b
                         if v:
                             vec[row_idx * n + l] = v
                     rows.append(vec)
-    return _rank_of_rows(rows) == n * n
+    return len(_echelon(rows)[1]) == n * n
 
 
 @dataclass(frozen=True)
@@ -492,8 +491,7 @@ class Tower:
         if not orders:
             raise ValueError("a tower needs at least one stage")
         for n in orders:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ValueError(f"stage orders must be positive integers, got {n!r}")
+            _check_positive_int(n, "stage order")
         for a, b in zip(orders, orders[1:]):
             if b % a:
                 raise ValueError(f"orders must form a divisibility chain: {a} does not divide {b}")
@@ -631,8 +629,7 @@ def proper_corner_witness(m: int, n: int, stage_order: int) -> VerificationRepor
     corner(M_n(C), m/n) = M_m(C).
     """
     for label, v in (("m", m), ("n", n), ("stage order", stage_order)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"{label} must be a positive integer, got {v!r}")
+        _check_positive_int(v, label)
     if m >= n:
         raise ValueError(f"the corner must be proper: need m < n, got m={m}, n={n}")
     if math.gcd(m, n) != 1:

@@ -42,6 +42,27 @@ def gauss_rank(rows) -> int:
     return rank
 
 
+def gauss_inverse(rows):
+    """Gauss-Jordan inverse over Fraction with pivot normalization; None if singular."""
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
 def matrix_rank_oracle(a: MatrixStage) -> int:
     return gauss_rank(a.entries)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -53,6 +54,19 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(SteinitzSyntaxError):
             parse_steinitz("2+3")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        # Superscript two, fullwidth two and Arabic-Indic three pass
+        # str.isdigit, and e-acute passes str.isalpha; the grammar is ASCII.
+        [("2\u00b2", 1), ("\uff12^3", 0), ("2^\u0663", 2), ("2^inf\u00e9", 5)],
+    )
+    def test_non_ascii_rejected_at_position(self, capsys, text, position):
+        with pytest.raises(SteinitzSyntaxError) as exc:
+            parse_steinitz(text)
+        assert exc.value.position == position
+        assert main(["parse", text]) == 2
+        assert capsys.readouterr().err.startswith("error: unexpected character")
 
     def test_not_prime(self):
         with pytest.raises(NotPrimeError):
@@ -197,6 +211,29 @@ class TestMainOutputs:
         first = capsys.readouterr().out
         main(["verify", "--seed", "3", "--trials", "5"])
         assert capsys.readouterr().out == first
+
+    # sha256 of `steinitz verify --seed s --max-order 96 --trials 20` stdout,
+    # recorded before ranks, corner bases and inverses shared one
+    # elimination routine; any change to the report text shows here.
+    VERIFY_SHA256 = (
+        "a753005af5f419d6ac1c2fdaae86136b5b17e994cfc54e4898a4dcafb87c4795",
+        "7d328dd8c69efa5d39a96f5e566381aa6b843a6451ede7f7cb2aba14498eb841",
+        "dbe2fca4f3e343e7ebbf86f0ba14a292c24041b2945952565bfd7601611e0792",
+        "e439234806c659525f47db85940ed51f83a9b91ab08aa86fc0589ce553d9256a",
+        "6cf5ea621b82ec7a7f06c75de17c6a6516ef78c5d86acf882ae2be0b029fa37e",
+        "5d84cd2f817d35177998554ea18bf88ca9e8cb49b9557dff25a85956a37033ea",
+        "03ef67d15fa674cc22ef84c345bd3ce2c59772c3643347bc4ead34f2d5722e36",
+        "f118867feca183f5099df736ce14f32a964896678a1b40dadeec58125c983500",
+        "44b30bab7bb49e5530b626e7cb0f7c8cce80a7debc03b1a2c4e7ee13036ab767",
+        "e6336d2adc3e3f312a40fe8cafa6e8c22e0f7f801b5ce001667624fd8d736c8f",
+    )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verify_text_pinned(self, capsys, seed):
+        argv = ["verify", "--seed", str(seed), "--max-order", "96", "--trials", "20"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.VERIFY_SHA256[seed]
 
     def test_trial_bound_flag(self, capsys):
         # 1022117 = 1009 * 1013 has no factor below 100.

@@ -31,7 +31,13 @@ from steinitz import (
     verify_corner_scaling,
 )
 from steinitz.tower import CheckLine, VerificationReport
-from helpers import matrix_rank_oracle, random_low_rank_matrix, random_matrix
+from helpers import (
+    gauss_inverse,
+    gauss_rank,
+    matrix_rank_oracle,
+    random_low_rank_matrix,
+    random_matrix,
+)
 
 F = Fraction
 
@@ -236,6 +242,44 @@ class TestCornerIsomorphism:
         x = iso.lift(y)
         assert e.matrix * x == x
         assert x * e.matrix == x
+
+    def test_rational_idempotents(self):
+        # e = q * diag(1,..,1,0,..,0) * q^-1 with rational q: non-integer
+        # entries take the rational path of the change of basis.
+        rng = random.Random(4242)
+        non_integer = 0
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            r = rng.randint(1, n - 1)
+            q_inv = None
+            while q_inv is None:
+                q = random_matrix(rng, n)
+                q_inv = gauss_inverse(q.entries)
+            e = IdempotentElement.from_matrix(
+                q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)
+            )
+            assert e.rank == r
+            non_integer += any(x.denominator > 1 for row in e.matrix.entries for x in row)
+            iso = corner_isomorphism(e)
+            to_diag, from_diag = iso.to_diagonal, iso.from_diagonal
+            assert to_diag * e.matrix * from_diag == MatrixStage.rank_projector(n, r)
+            assert to_diag * from_diag == MatrixStage.identity(n)
+            y = random_matrix(rng, r)
+            assert iso.apply(iso.lift(y)) == y
+            x = e.matrix * random_matrix(rng, n) * e.matrix
+            assert iso.lift(iso.apply(x)) == x
+            # The basis is the first independent columns of e, then of 1 - e.
+            for m, picked in (
+                (e.matrix, range(r)),
+                (MatrixStage.identity(n) - e.matrix, range(r, n)),
+            ):
+                cols = [[row[j] for row in m.entries] for j in range(n)]
+                first = [
+                    cols[j] for j in range(n)
+                    if gauss_rank(cols[: j + 1]) > gauss_rank(cols[:j])
+                ]
+                assert [[row[k] for row in from_diag.entries] for k in picked] == first
+        assert non_integer >= 20
 
     def test_zero_idempotent_rejected(self):
         with pytest.raises(ZeroIdempotentError):
