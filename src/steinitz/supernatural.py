@@ -7,7 +7,8 @@ exponent applies to every prime outside a finite exception set.  That class
 contains every positive integer, every p**infinity pattern, the product of
 all primes, and is closed under the operations below, which makes equality,
 divisibility, lcm/gcd and rational connectedness all decidable by finite
-bookkeeping.
+bookkeeping.  Binary operations walk the two canonical exception tuples
+once, in ascending prime order, with the defaults filled in.
 
 Values are immutable and canonicalized on construction, so structural
 equality coincides with semantic equality.
@@ -15,15 +16,18 @@ equality coincides with semantic equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import prod
-from typing import Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import DenominatorDoesNotDivideError, NotPrimeError, _check_positive_int
 from .primes import factorize, is_prime
 
 
+@total_ordering
 class Infinity:
     """Absorbing infinite exponent: t + inf = inf, and inf exceeds every int."""
 
@@ -48,25 +52,6 @@ class Infinity:
     def __lt__(self, other):
         if isinstance(other, (int, Infinity)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Infinity)):
-            return True
         return NotImplemented
 
     def __hash__(self):
@@ -175,35 +160,42 @@ def exponent_at(s: SupernaturalNumber, p: int) -> Exponent:
     return s.default_exp
 
 
-def _support_union(s: SupernaturalNumber, t: SupernaturalNumber) -> list[int]:
-    return sorted({p for p, _ in s.exceptions} | {p for p, _ in t.exceptions})
+def _aligned(
+    s: SupernaturalNumber, t: SupernaturalNumber
+) -> Iterator[tuple[int, Exponent, Exponent]]:
+    """(p, exponent in s, exponent in t) for every prime listed in s or t, ascending."""
+    a, b = dict(s.exceptions), dict(t.exceptions)
+    for p in sorted(a.keys() | b.keys()):
+        yield p, a.get(p, s.default_exp), b.get(p, t.default_exp)
+
+
+def _pointwise(
+    op: Callable[[Exponent, Exponent], Exponent],
+    s: SupernaturalNumber,
+    t: SupernaturalNumber,
+) -> SupernaturalNumber:
+    exc = {p: op(a, b) for p, a, b in _aligned(s, t)}
+    return SupernaturalNumber(op(s.default_exp, t.default_exp), exc)
 
 
 def mul(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
     """Pointwise exponent addition, with INF absorbing."""
-    exc = {p: exponent_at(s, p) + exponent_at(t, p) for p in _support_union(s, t)}
-    return SupernaturalNumber(s.default_exp + t.default_exp, exc)
+    return _pointwise(operator.add, s, t)
 
 
 def lcm(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
     """Pointwise maximum of exponents (join in the divisibility lattice)."""
-    exc = {p: max(exponent_at(s, p), exponent_at(t, p)) for p in _support_union(s, t)}
-    return SupernaturalNumber(max(s.default_exp, t.default_exp), exc)
+    return _pointwise(max, s, t)
 
 
 def gcd(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
     """Pointwise minimum of exponents (meet in the divisibility lattice)."""
-    exc = {p: min(exponent_at(s, p), exponent_at(t, p)) for p in _support_union(s, t)}
-    return SupernaturalNumber(min(s.default_exp, t.default_exp), exc)
+    return _pointwise(min, s, t)
 
 
 def divides(s: SupernaturalNumber, t: SupernaturalNumber) -> bool:
     """True iff every exponent of s is <= the matching exponent of t."""
-    if not s.default_exp <= t.default_exp:
-        return False
-    return all(
-        exponent_at(s, p) <= exponent_at(t, p) for p in _support_union(s, t)
-    )
+    return s.default_exp <= t.default_exp and all(a <= b for _, a, b in _aligned(s, t))
 
 
 def is_locally_finite(s: SupernaturalNumber) -> bool:
@@ -233,9 +225,7 @@ def rationally_connected(
     if s1.default_exp != s2.default_exp:
         return None
     num = den = 1
-    for p in _support_union(s1, s2):
-        a = exponent_at(s1, p)
-        b = exponent_at(s2, p)
+    for p, a, b in _aligned(s1, s2):
         if a == b:
             continue
         if is_infinite(a) or is_infinite(b):
@@ -265,7 +255,7 @@ def scale(
         adjust[p] = adjust.get(p, 0) - e
     exc: dict[int, Exponent] = dict(s.exceptions)
     for p, delta in adjust.items():
-        e = exponent_at(s, p)
+        e = exc.get(p, s.default_exp)
         if is_infinite(e):
             exc[p] = e
             continue

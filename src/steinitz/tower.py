@@ -441,13 +441,8 @@ def corner_span_dimension(e: IdempotentElement | MatrixStage) -> int:
     """Dimension of e M_n e, from the spanning set {e E_ij e} by brute force."""
     m = e.matrix if isinstance(e, IdempotentElement) else e
     ent = m.entries
-    n = m.order
-    rows = []
-    for i in range(n):
-        col = [ent[a][i] for a in range(n)]
-        for j in range(n):
-            rj = ent[j]
-            rows.append([col[a] * rj[b] for a in range(n) for b in range(n)])
+    # e E_ij e = (column i of e) (row j of e), flattened row-major.
+    rows = ([c * x for c in col for x in rj] for col in zip(*ent) for rj in ent)
     return len(_echelon(rows)[1])
 
 
@@ -461,23 +456,21 @@ def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> b
     n = e.stage_order
     if n > cap:
         raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {cap}")
-    me = [list(row) for row in e.matrix.entries]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            # E_ij * e: row j of e moved to row i.
-            left = [[_ZERO] * n for _ in range(n)]
-            left[i] = me[j]
-            for k in range(n):
-                for l in range(n):
-                    # (E_ij e) * E_kl: column k moved to column l.
-                    vec = [_ZERO] * (n * n)
-                    for row_idx in range(n):
-                        v = left[row_idx][k]
-                        if v:
-                            vec[row_idx * n + l] = v
-                    rows.append(vec)
-    return len(_echelon(rows)[1]) == n * n
+    ent = e.matrix.entries
+
+    def rows():
+        # E_ij e E_kl = e[j][k] E_il; the zero ones add nothing to the span.
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    v = ent[j][k]
+                    if v:
+                        for l in range(n):
+                            vec = [_ZERO] * (n * n)
+                            vec[i * n + l] = v
+                            yield vec
+
+    return len(_echelon(rows())[1]) == n * n
 
 
 @dataclass(frozen=True)

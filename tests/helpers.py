@@ -8,14 +8,18 @@ actual cross-check rather than the same code run twice.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from steinitz import INF, MatrixStage, SupernaturalNumber
+from steinitz import INF, Infinity, MatrixStage, SupernaturalNumber
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: A prime outside PRIME_POOL: its exponent is the default of every value
+#: built from the pool.
+OUTSIDE_PRIME = 41
 
 
 def gauss_rank(rows) -> int:
@@ -65,6 +69,21 @@ def gauss_inverse(rows):
 
 def matrix_rank_oracle(a: MatrixStage) -> int:
     return gauss_rank(a.entries)
+
+
+def pointwise_exponents(s: SupernaturalNumber) -> dict:
+    """Exponent of s at each prime of PRIME_POOL and at OUTSIDE_PRIME.
+
+    Read straight off the fields, with INF as math.inf, so that sums,
+    maxima, minima and comparisons on the result are plain Python's and
+    not the library's.
+    """
+    listed = dict(s.exceptions)
+    out = {}
+    for p in PRIME_POOL + (OUTSIDE_PRIME,):
+        e = listed.get(p, s.default_exp)
+        out[p] = math.inf if isinstance(e, Infinity) else e
+    return out
 
 
 def random_supernatural(

@@ -6,6 +6,7 @@ associativity, lattice absorption, partial order).
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -31,7 +32,8 @@ from steinitz import (
     rationally_connected,
     scale,
 )
-from helpers import supernaturals
+from steinitz import supernatural
+from helpers import OUTSIDE_PRIME, pointwise_exponents, supernaturals
 
 naturals = st.integers(min_value=1, max_value=10_000)
 
@@ -54,6 +56,18 @@ class TestInfinity:
         assert INF <= INF
         assert INF >= 0
         assert not INF <= 7
+        assert not INF > INF
+        assert INF >= INF
+        assert 3 <= INF
+        assert not 3 >= INF
+        for compare in (
+            lambda: INF < "a",
+            lambda: INF > "a",
+            lambda: INF <= 1.5,
+            lambda: "a" <= INF,
+        ):
+            with pytest.raises(TypeError):
+                compare()
 
     def test_equality_and_hash(self):
         assert INF == Infinity()
@@ -180,6 +194,22 @@ class TestLatticeLaws:
         assert is_natural(gcd(sa, sb)) == math.gcd(a, b)
         assert divides(sa, sb) == (b % a == 0)
 
+    @given(supernaturals, supernaturals)
+    def test_matches_pointwise_oracle(self, s, t):
+        a, b = pointwise_exponents(s), pointwise_exponents(t)
+        assert pointwise_exponents(mul(s, t)) == {p: a[p] + b[p] for p in a}
+        assert pointwise_exponents(lcm(s, t)) == {p: max(a[p], b[p]) for p in a}
+        assert pointwise_exponents(gcd(s, t)) == {p: min(a[p], b[p]) for p in a}
+        assert divides(s, t) == all(a[p] <= b[p] for p in a)
+        differing = [p for p in a if a[p] != b[p]]
+        if a[OUTSIDE_PRIME] == b[OUTSIDE_PRIME] and all(
+            math.isfinite(a[p]) and math.isfinite(b[p]) for p in differing
+        ):
+            expected = math.prod(Fraction(p) ** (b[p] - a[p]) for p in differing)
+        else:
+            expected = None
+        assert rationally_connected(s, t) == expected
+
     def test_operator_sugar(self):
         assert from_natural(6) * from_natural(10) == from_natural(60)
 
@@ -282,6 +312,41 @@ class TestScale:
             scale(ONE, Fraction(-1, 2))
         with pytest.raises(ValueError):
             scale(ONE, 0)
+
+
+class TestWalkCost:
+    """Binary operations prove each prime at most once (no wall clock)."""
+
+    @staticmethod
+    def _wide(rng, primes):
+        return SupernaturalNumber(0, {p: rng.randint(1, 5) for p in rng.sample(primes, 200)})
+
+    def test_is_prime_calls_bounded_by_support_union(self, monkeypatch):
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        rng = random.Random(20200217)
+        s, t = self._wide(rng, primes), self._wide(rng, primes)
+        below_t = gcd(s, t)
+        # Neither walk stops early, so each visits the whole union.
+        assert divides(below_t, t) and rationally_connected(s, t) is not None
+        s_keys, t_keys = dict(s.exceptions).keys(), dict(t.exceptions).keys()
+        outside = [p for p in primes if p not in s_keys][:3]
+        q = Fraction(math.prod(outside), math.prod(sorted(s_keys)[:2]))
+        calls = []
+        real = supernatural.is_prime
+        monkeypatch.setattr(supernatural, "is_prime", lambda n: calls.append(n) or real(n))
+        both = len(s_keys | t_keys)
+        cases = [
+            (mul, s, t, both),
+            (lcm, s, t, both),
+            (gcd, s, t, both),
+            (divides, below_t, t, len(dict(below_t.exceptions).keys() | t_keys)),
+            (rationally_connected, s, t, both),
+            (scale, s, q, len(s_keys | set(outside))),
+        ]
+        for op, x, y, bound in cases:
+            calls.clear()
+            op(x, y)
+            assert len(calls) <= bound, (op.__name__, len(calls), bound)
 
 
 class TestTowerLimitExample:
