@@ -23,6 +23,10 @@ class DenominatorDoesNotDivideError(SteinitzError):
     """Scaling by a rational would force a negative prime exponent."""
 
 
+class RatioTooLargeError(SteinitzError):
+    """A connecting ratio would exceed the supported size (MAX_RATIO_BITS)."""
+
+
 class NotADivisorError(SteinitzError):
     """The requested matrix order does not divide the Steinitz number."""
 

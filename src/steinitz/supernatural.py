@@ -23,7 +23,12 @@ from functools import total_ordering
 from math import prod
 from typing import Callable, Iterator, Mapping, Union
 
-from .errors import DenominatorDoesNotDivideError, NotPrimeError, _check_positive_int
+from .errors import (
+    DenominatorDoesNotDivideError,
+    NotPrimeError,
+    RatioTooLargeError,
+    _check_positive_int,
+)
 from .primes import factorize, is_prime
 
 
@@ -143,11 +148,16 @@ class SupernaturalNumber:
 #: The empty product.
 ONE = SupernaturalNumber()
 
+#: Largest bit-length bound accepted for the numerator or the denominator of
+#: a connecting ratio.  2**14000 has 4215 decimal digits, so every accepted
+#: ratio prints under CPython's default 4300-digit int-to-str limit.
+MAX_RATIO_BITS = 14_000
 
-def from_natural(n: int, trial_bound: int | None = None) -> SupernaturalNumber:
+
+def from_natural(n: int) -> SupernaturalNumber:
     """Embed a positive integer via its prime factorization."""
     _check_positive_int(n, "n")
-    return SupernaturalNumber(0, factorize(n, trial_bound))
+    return SupernaturalNumber(0, factorize(n))
 
 
 def exponent_at(s: SupernaturalNumber, p: int) -> Exponent:
@@ -220,26 +230,35 @@ def rationally_connected(
     Two representable Steinitz numbers are connected exactly when their
     default exponents agree and every prime where they differ carries a
     finite exponent on both sides; q is then the finite product of the
-    exponent differences.
+    exponent differences.  Before any power is taken, the bit length of the
+    numerator and of the denominator is bounded by the sum of d * bitlen(p)
+    over its exponent gaps d; RatioTooLargeError is raised when either bound
+    exceeds MAX_RATIO_BITS.
     """
     if s1.default_exp != s2.default_exp:
         return None
-    num = den = 1
+    up: list[tuple[int, int]] = []
+    down: list[tuple[int, int]] = []
     for p, a, b in _aligned(s1, s2):
         if a == b:
             continue
         if is_infinite(a) or is_infinite(b):
             return None
         if b > a:
-            num *= p ** (b - a)
+            up.append((p, b - a))
         else:
-            den *= p ** (a - b)
-    return Fraction(num, den)
+            down.append((p, a - b))
+    for gaps in (up, down):
+        bits = sum(d * p.bit_length() for p, d in gaps)
+        if bits > MAX_RATIO_BITS:
+            raise RatioTooLargeError(
+                f"the connecting ratio may need {bits} bits in one term, "
+                f"above the limit of {MAX_RATIO_BITS}"
+            )
+    return Fraction(prod(p**d for p, d in up), prod(p**d for p, d in down))
 
 
-def scale(
-    s: SupernaturalNumber, q: Fraction | int | str, trial_bound: int | None = None
-) -> SupernaturalNumber:
+def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
     """Multiply s by a positive rational q = m/n, exponentwise.
 
     Each exponent moves by v_p(m) - v_p(n) with INF absorbing; an exponent
@@ -250,8 +269,8 @@ def scale(
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"scale factor must be positive, got {q}")
-    adjust: dict[int, int] = dict(factorize(q.numerator, trial_bound))
-    for p, e in factorize(q.denominator, trial_bound).items():
+    adjust: dict[int, int] = dict(factorize(q.numerator))
+    for p, e in factorize(q.denominator).items():
         adjust[p] = adjust.get(p, 0) - e
     exc: dict[int, Exponent] = dict(s.exceptions)
     for p, delta in adjust.items():

@@ -2,13 +2,22 @@
 
 Everything here is exact: square matrices over the rational field, unital
 block-diagonal embeddings along a divisibility chain of orders, and seeded
-random idempotents.  One fraction-free elimination routine (``_echelon``)
-serves all the linear algebra: ranks and span dimensions count its pivots,
-corner bases take its pivot columns, and inverses come from its reduced
-form of [m | I].  The verification entry points push an idempotent up a
-tower and compare the observed corner data against the symbolic
-rank/corner laws, producing a line-oriented report
-(``PASS|FAIL <check> stage=<n> expected=<v> got=<v>``) with stable ordering.
+random idempotents.  A stage keeps each entry as given: an ``int`` stays an
+``int`` and a ``Fraction`` stays a ``Fraction`` (floats and bools raise
+``TypeError``), so the integer matrices the verification builds never pay
+for rational arithmetic.  Every stage is built one way, from a list of rows,
+and each stored row is ``tuple(<list>)``, never ``tuple(<generator>)``: a
+tuple grown from a generator is resized on the way and so never reuses a
+freed tuple of its final size, yet it is kept for reuse when freed, and those
+kept tuples raised the resident memory of verify runs.
+
+One fraction-free elimination routine (``_echelon``) serves all the linear
+algebra: ranks and span dimensions count its pivots, corner bases take its
+pivot columns, and inverses come from its reduced form of [m | I].  The
+verification entry points push an idempotent up a tower and compare the
+observed corner data against the symbolic rank/corner laws, producing a
+line-oriented report (``PASS|FAIL <check> stage=<n> expected=<v> got=<v>``)
+with stable ordering.
 
 No floating point is used anywhere in this module.
 """
@@ -16,6 +25,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -44,30 +54,28 @@ RANK_ORDER_CAP = 96
 #: Default cap on stage orders for fullness span computations (n**4 blowup).
 FULLNESS_ORDER_CAP = 6
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _UNIMODULAR_ENTRY_BOUND = 3
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"matrix entries must be exact (int or Fraction), got {x!r}")
-    return Fraction(x)
+def _is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
 class MatrixStage:
-    """A square matrix over the rational field, stored exactly."""
+    """A square matrix over the rational field, stored exactly as given."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in self.entries)
+        rows = tuple([tuple(row) for row in self.entries])
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
+        for row in rows:
+            for x in row:
+                if not _is_exact(x):
+                    raise TypeError(f"matrix entries must be exact (int or Fraction), got {x!r}")
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -76,17 +84,19 @@ class MatrixStage:
 
     @classmethod
     def identity(cls, n: int) -> MatrixStage:
-        return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zero(cls, n: int) -> MatrixStage:
-        return cls(tuple((_ZERO,) * n for _ in range(n)))
+        return cls.diagonal([0] * n)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> MatrixStage:
-        vals = [_as_fraction(v) for v in values]
-        n = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
+        n = len(values)
+        rows = [[0] * n for _ in range(n)]
+        for i, v in enumerate(values):
+            rows[i][i] = v
+        return cls(rows)
 
     @classmethod
     def rank_projector(cls, n: int, r: int) -> MatrixStage:
@@ -95,52 +105,43 @@ class MatrixStage:
             raise ValueError(f"projector rank must satisfy 0 <= r <= n, got r={r}, n={n}")
         return cls.diagonal([1] * r + [0] * (n - r))
 
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.order)), _ZERO)
+    def trace(self) -> int | Fraction:
+        return sum(self.entries[i][i] for i in range(self.order))
+
+    def _entrywise(self, other, op, what: str):
+        if not isinstance(other, MatrixStage):
+            return NotImplemented
+        if self.order != other.order:
+            raise ValueError(f"order mismatch in matrix {what}")
+        return MatrixStage(
+            [list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]
+        )
 
     def __add__(self, other):
-        if not isinstance(other, MatrixStage):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch in matrix addition")
-        return MatrixStage(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(other, operator.add, "addition")
 
     def __sub__(self, other):
-        if not isinstance(other, MatrixStage):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch in matrix subtraction")
-        return MatrixStage(
-            tuple(
-                tuple(x - y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(other, operator.sub, "subtraction")
 
     def __mul__(self, other):
         if isinstance(other, MatrixStage):
             if self.order != other.order:
                 raise ValueError("order mismatch in matrix product")
             return MatrixStage(_matmul_rows(self.entries, other.entries))
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return MatrixStage(tuple(tuple(x * other for x in row) for row in self.entries))
+        if _is_exact(other):
+            return MatrixStage([[x * other for x in row] for row in self.entries])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_exact(other):
             return self * other
         return NotImplemented
 
 
-def _matmul_rows(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """Row-list matrix product, skipping zero entries (helps block matrices)."""
     n = len(a)
-    out = [[_ZERO] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         arow = a[i]
         orow = out[i]
@@ -167,8 +168,8 @@ def _strip_content(row: list[int]) -> list[int]:
     return row
 
 
-def _primitive_int_row(row: Sequence[Fraction]) -> list[int] | None:
-    """Scale a rational row to coprime integers; None for the zero row."""
+def _primitive_int_row(row: Sequence[int | Fraction]) -> list[int] | None:
+    """Scale a row of ints and Fractions to coprime integers; None for the zero row."""
     denom_lcm = 1
     for x in row:
         if x:
@@ -180,7 +181,7 @@ def _primitive_int_row(row: Sequence[Fraction]) -> list[int] | None:
 
 
 def _echelon(
-    rows: Iterable[Sequence[Fraction]], reduced: bool = False
+    rows: Iterable[Sequence[int | Fraction]], reduced: bool = False
 ) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form over the rationals, and its pivot columns.
 
@@ -278,36 +279,37 @@ def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
             for j1 in range(n):
                 x = ae[i1][j1]
                 if x:
-                    row.extend(x * y for y in be[i2])
+                    row.extend([x * y for y in be[i2]])
                 else:
-                    row.extend([_ZERO] * m)
-            out.append(tuple(row))
-    return MatrixStage(tuple(out))
+                    row.extend([0] * m)
+            out.append(row)
+    return MatrixStage(out)
 
 
 @dataclass(frozen=True)
 class IdempotentElement:
     """An exact idempotent e (e*e = e) at a single matrix stage."""
 
-    stage_order: int
     matrix: MatrixStage
     rank: int
-    relative_rank: Fraction
 
     def __post_init__(self):
-        if self.matrix.order != self.stage_order:
-            raise ValueError("stage order does not match the matrix order")
         if self.matrix * self.matrix != self.matrix:
             raise ValueError("matrix is not idempotent")
         if not 0 <= self.rank <= self.stage_order:
             raise ValueError("rank out of range")
-        if self.relative_rank != Fraction(self.rank, self.stage_order):
-            raise ValueError("relative rank does not match rank/order")
+
+    @property
+    def stage_order(self) -> int:
+        return self.matrix.order
+
+    @property
+    def relative_rank(self) -> Fraction:
+        return Fraction(self.rank, self.stage_order)
 
     @classmethod
     def from_matrix(cls, matrix: MatrixStage) -> IdempotentElement:
-        r = exact_rank(matrix)
-        return cls(matrix.order, matrix, r, Fraction(r, matrix.order))
+        return cls(matrix, exact_rank(matrix))
 
 
 def _unimodular(n: int, rng: random.Random):
@@ -356,7 +358,7 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     rng = random.Random(seed)
     p, p_inv = _unimodular(n, rng)
     e = p * MatrixStage.rank_projector(n, r) * p_inv
-    return IdempotentElement(n, e, r, Fraction(r, n))
+    return IdempotentElement(e, r)
 
 
 @dataclass(frozen=True)
@@ -381,18 +383,14 @@ class CornerIsomorphism:
             raise ValueError("element order does not match the stage order")
         y = self.to_diagonal * x * self.from_diagonal
         r = self.rank
-        return MatrixStage(tuple(row[:r] for row in y.entries[:r]))
+        return MatrixStage([row[:r] for row in y.entries[:r]])
 
     def lift(self, y: MatrixStage) -> MatrixStage:
         if y.order != self.rank:
             raise ValueError("element order does not match the corner rank")
         n, r = self.order, self.rank
-        padded = MatrixStage(
-            tuple(
-                tuple(y.entries[i][j] if i < r and j < r else _ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        pad = [0] * (n - r)
+        padded = MatrixStage([list(row) + pad for row in y.entries] + [[0] * n] * (n - r))
         return self.from_diagonal * padded * self.to_diagonal
 
 
@@ -415,10 +413,7 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     if len(image) != r or len(complement) != n - r:
         raise RuntimeError("idempotent splitting produced unexpected dimensions")
     basis = MatrixStage(
-        tuple(
-            tuple(row[j] for j in image) + tuple(crow[j] for j in complement)
-            for row, crow in zip(ent, comp)
-        )
+        [[row[j] for j in image] + [crow[j] for j in complement] for row, crow in zip(ent, comp)]
     )
     # Reduced echelon form of [basis | I] is [D | D * basis^-1], D diagonal.
     rows, pivots = _echelon(
@@ -427,10 +422,7 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     if pivots[-1] >= n:
         raise ValueError("matrix is singular")
     to_diag = MatrixStage(
-        tuple(
-            tuple(Fraction(x, row[i]) if x else _ZERO for x in row[n:])
-            for i, row in enumerate(rows)
-        )
+        [[Fraction(x, row[i]) if x else 0 for x in row[n:]] for i, row in enumerate(rows)]
     )
     if to_diag * e.matrix * basis != MatrixStage.rank_projector(n, r):
         raise RuntimeError("change of basis failed to diagonalize the idempotent")
@@ -466,7 +458,7 @@ def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> b
                     v = ent[j][k]
                     if v:
                         for l in range(n):
-                            vec = [_ZERO] * (n * n)
+                            vec = [0] * (n * n)
                             vec[i * n + l] = v
                             yield vec
 
@@ -492,7 +484,7 @@ class Tower:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(b // a for a, b in zip(self.orders, self.orders[1:]))
+        return tuple([b // a for a, b in zip(self.orders, self.orders[1:])])
 
     @property
     def top_order(self) -> int:
@@ -527,7 +519,7 @@ class VerificationReport:
 
     def prefixed(self, prefix: str) -> VerificationReport:
         return VerificationReport(
-            tuple(replace(c, name=f"{prefix}.{c.name}") for c in self.checks)
+            tuple([replace(c, name=f"{prefix}.{c.name}") for c in self.checks])
         )
 
     @staticmethod

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -234,6 +235,23 @@ class TestMainOutputs:
         assert main(argv) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.VERIFY_SHA256[seed]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["witness", "2^100000", "3^100000"], ["ratio", "2^99999999999", "3^99999999999"]],
+    )
+    def test_oversized_ratio_exits_two(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "set_int_max_str_digits" not in captured.err
+
+    def test_large_ratio_still_prints(self, capsys):
+        assert main(["ratio", "2^5000", "3^5000"]) == 0
+        assert capsys.readouterr().out.strip() == f"{3**5000}/{2**5000}"
 
     def test_trial_bound_flag(self, capsys):
         # 1022117 = 1009 * 1013 has no factor below 100.

@@ -5,6 +5,7 @@ from_natural / is_natural; the rest are structural (commutativity,
 associativity, lattice absorption, partial order).
 """
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -17,8 +18,10 @@ from steinitz import (
     INF,
     ONE,
     DenominatorDoesNotDivideError,
+    FactorizationError,
     Infinity,
     NotPrimeError,
+    RatioTooLargeError,
     SupernaturalNumber,
     divides,
     exponent_at,
@@ -32,7 +35,7 @@ from steinitz import (
     rationally_connected,
     scale,
 )
-from steinitz import supernatural
+from steinitz import primes, supernatural
 from helpers import OUTSIDE_PRIME, pointwise_exponents, supernaturals
 
 naturals = st.integers(min_value=1, max_value=10_000)
@@ -140,6 +143,21 @@ class TestFromNatural:
     @given(naturals, naturals)
     def test_multiplicative(self, a, b):
         assert from_natural(a * b) == mul(from_natural(a), from_natural(b))
+
+    def test_trial_bound_is_the_process_default(self):
+        # 1022117 = 1009 * 1013 has no factor below 100.
+        assert "trial_bound" not in inspect.signature(from_natural).parameters
+        assert "trial_bound" not in inspect.signature(scale).parameters
+        old = primes.get_default_trial_bound()
+        primes.set_default_trial_bound(100)
+        try:
+            with pytest.raises(FactorizationError):
+                from_natural(1022117)
+            with pytest.raises(FactorizationError):
+                scale(from_natural(1022117 * 3), Fraction(1, 1022117))
+        finally:
+            primes.set_default_trial_bound(old)
+        assert from_natural(1022117) == SupernaturalNumber(0, {1009: 1, 1013: 1})
 
 
 class TestExponentAt:
@@ -275,6 +293,34 @@ class TestRationalConnectedness:
             assert scale(s, q) == t
             back = rationally_connected(t, s)
             assert back == 1 / q
+
+
+    def test_oversized_ratio_is_refused_before_any_power(self):
+        # Exponent gaps of 10**11 would need ~10**11-bit powers; the bound
+        # is read off the gaps, so the refusal is immediate.
+        huge = 10**11
+        with pytest.raises(RatioTooLargeError):
+            rationally_connected(
+                SupernaturalNumber(0, {2: huge}), SupernaturalNumber(0, {3: huge})
+            )
+        with pytest.raises(RatioTooLargeError):
+            rationally_connected(ONE, SupernaturalNumber(0, {5: huge}))
+
+    def test_ratio_bound_edge(self):
+        # 2 has bit length 2, so 2^(MAX_RATIO_BITS / 2) is the largest power
+        # of 2 accepted on either side of the ratio.
+        k = supernatural.MAX_RATIO_BITS // 2
+        q = rationally_connected(ONE, SupernaturalNumber(0, {2: k}))
+        assert q == 2**k
+        assert len(str(q)) < 4300
+        with pytest.raises(RatioTooLargeError):
+            rationally_connected(ONE, SupernaturalNumber(0, {2: k + 1}))
+        with pytest.raises(RatioTooLargeError):
+            rationally_connected(SupernaturalNumber(0, {2: k + 1}), ONE)
+        # Each side is bounded on its own: k on top and k below is accepted.
+        assert rationally_connected(
+            SupernaturalNumber(0, {3: k}), SupernaturalNumber(0, {2: k})
+        ) == Fraction(2**k, 3**k)
 
 
 class TestScale:

@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 from fractions import Fraction
@@ -30,6 +31,7 @@ from steinitz import (
     scale,
     verify_corner_scaling,
 )
+from steinitz import tower
 from steinitz.tower import CheckLine, VerificationReport
 from helpers import (
     gauss_inverse,
@@ -92,6 +94,93 @@ class TestMatrixStage:
     def test_scalar_float_unsupported(self):
         with pytest.raises(TypeError):
             MatrixStage.identity(2) * 0.5
+
+
+def _all_int(m: MatrixStage) -> bool:
+    return all(type(x) is int for row in m.entries for x in row)
+
+
+class TestEntryContract:
+    """A stage keeps each entry as given: ints stay ints, Fractions stay Fractions."""
+
+    def test_integer_input_stays_int(self):
+        a = MatrixStage([[1, 2], [3, 4]])
+        b = MatrixStage([[0, -1], [1, 0]])
+        for m in (
+            a,
+            MatrixStage(((1, 2), (3, 4))),
+            a * b,
+            a * 3,
+            3 * a,
+            a + b,
+            a - b,
+            kron(a, b),
+            embed(a, 3),
+            MatrixStage.identity(3),
+            MatrixStage.zero(3),
+            MatrixStage.rank_projector(4, 2),
+            MatrixStage.diagonal([5, -2]),
+            random_idempotent(7, 3, seed=4).matrix,
+        ):
+            assert _all_int(m), m
+        assert type(a.trace()) is int
+
+    def test_fraction_entries_stay_exact(self):
+        half = F(1, 2)
+        m = MatrixStage([[half, 1], [F(2, 1), F(-3, 4)]])
+        assert m.entries == ((half, 1), (2, F(-3, 4)))
+        assert type(m.entries[0][0]) is Fraction
+        assert type(m.entries[1][0]) is Fraction
+        assert type(m.entries[0][1]) is int
+        assert (m * m).entries == ((F(9, 4), F(-1, 4)), (F(-1, 2), F(41, 16)))
+        assert (m - m) == MatrixStage.zero(2)
+        assert m.trace() == F(-1, 4)
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, "1", None])
+    def test_non_exact_entries_rejected(self, bad):
+        with pytest.raises(TypeError):
+            MatrixStage([[1, bad], [0, 1]])
+        with pytest.raises(TypeError):
+            MatrixStage.diagonal([1, bad])
+
+    def test_from_matrix_derives_order_and_relative_rank(self):
+        e = IdempotentElement.from_matrix(MatrixStage.rank_projector(6, 4))
+        assert (e.rank, e.stage_order, e.relative_rank) == (4, 6, F(2, 3))
+        assert _all_int(e.matrix)
+        r = random_idempotent(9, 6, seed=2)
+        assert (r.rank, r.stage_order, r.relative_rank) == (6, 9, F(2, 3))
+
+    def test_non_idempotent_rejected(self):
+        with pytest.raises(ValueError):
+            IdempotentElement.from_matrix(MatrixStage([[2, 0], [0, 1]]))
+        with pytest.raises(ValueError):
+            IdempotentElement(MatrixStage([[1, 1], [0, 0]]) * 2, 1)
+        with pytest.raises(ValueError):
+            IdempotentElement(MatrixStage.identity(2), 3)
+
+    def test_no_tuple_built_from_a_generator(self):
+        """tower.py builds every tuple from a list, never from a generator.
+
+        A tuple built from a generator grows by reallocation, so it never
+        reuses a freed tuple of its final size; when it is freed it is
+        still kept on CPython's per-size free list.  With integer entries
+        (few other allocations, so few full gc passes) those lists filled
+        to hundreds or thousands of tuples per size, and the verify-tower
+        benchmark's peak_rss_mb rose threefold.  The wall-clock benchmark
+        is not part of this suite, so this guard keeps the rule.
+        """
+        tree = ast.parse(open(tower.__file__, encoding="utf-8").read())
+        offenders = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+            and not node.keywords
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ]
+        assert offenders == [], f"tuple(<generator>) at lines {offenders}"
 
 
 class TestExactRank:
