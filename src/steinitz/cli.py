@@ -1,15 +1,8 @@
 """Command-line surface for the Steinitz calculus.
 
-Expression grammar (whitespace ignored)::
-
-    expr := term ('*' term)*
-    term := PRIME ['^' exp] | 'rest' '^' exp
-    exp  := NAT | 'inf'
-
-``rest`` fixes the exponent of every prime not listed explicitly (at most
-one ``rest`` term; absent means 0).  The single digit ``1`` is accepted as
-the empty product.  Output is always canonical: primes ascending, ``^1``
-omitted, ``rest^d`` last and omitted when d = 0.
+Expressions are read by :func:`steinitz.supernatural.parse_steinitz` (the
+grammar is in its docstring).  Output is always canonical: primes
+ascending, ``^1`` omitted, ``rest^d`` last and omitted when d = 0.
 
 Exit codes: 0 for success and YES-decisions, 1 for NO-decisions (including
 a verification report with failures), 2 for input and usage errors.
@@ -19,18 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from string import ascii_letters, digits
 
-from .errors import (
-    DuplicatePrimeError,
-    DuplicateRestError,
-    NotPrimeError,
-    SteinitzError,
-    SteinitzSyntaxError,
-)
+from .errors import SteinitzError, SteinitzSyntaxError
 from .morita import (
     AlgebraDescriptor,
     CornerComparison,
@@ -42,141 +27,17 @@ from .morita import (
     morita_witness,
     proper_corner_compare,
 )
-from .primes import get_default_trial_bound, is_prime, set_default_trial_bound
+from .primes import get_default_trial_bound, set_default_trial_bound
 from .supernatural import (
-    INF,
-    Exponent,
-    SupernaturalNumber,
     divides,
+    format_steinitz,
     gcd,
     is_locally_finite,
     lcm,
     mul,
+    parse_steinitz,
 )
 from .tower import run_verification
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "star" | "caret" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in digits:
-            j = i
-            while j < n and text[j] in digits:
-                j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-        elif ch in ascii_letters:
-            j = i
-            while j < n and text[j] in ascii_letters:
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-        elif ch == "*":
-            tokens.append(_Token("star", ch, i))
-            i += 1
-        elif ch == "^":
-            tokens.append(_Token("caret", ch, i))
-            i += 1
-        else:
-            raise SteinitzSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-        self._exceptions: dict[int, Exponent] = {}
-        self._default: Exponent = 0
-        self._saw_rest = False
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "end":
-            self._pos += 1
-        return tok
-
-    def parse(self) -> SupernaturalNumber:
-        self._term()
-        while self._peek().kind == "star":
-            self._advance()
-            self._term()
-        tok = self._peek()
-        if tok.kind != "end":
-            raise SteinitzSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-        return SupernaturalNumber(self._default, self._exceptions)
-
-    def _term(self) -> None:
-        tok = self._advance()
-        if tok.kind == "number":
-            base = int(tok.text)
-            if base == 1:
-                if self._peek().kind == "caret":
-                    raise SteinitzSyntaxError("'1' does not take an exponent", self._peek().pos)
-                return
-            exp: Exponent = 1
-            if self._peek().kind == "caret":
-                self._advance()
-                exp = self._exponent()
-            if not is_prime(base):
-                raise NotPrimeError(f"{base} is not prime (at position {tok.pos})")
-            if base in self._exceptions:
-                raise DuplicatePrimeError(
-                    f"prime {base} appears more than once (at position {tok.pos})"
-                )
-            self._exceptions[base] = exp
-        elif tok.kind == "name" and tok.text == "rest":
-            if self._peek().kind != "caret":
-                raise SteinitzSyntaxError("'rest' requires an explicit exponent", tok.pos)
-            self._advance()
-            exp = self._exponent()
-            if self._saw_rest:
-                raise DuplicateRestError(
-                    f"'rest' appears more than once (at position {tok.pos})"
-                )
-            self._saw_rest = True
-            self._default = exp
-        elif tok.kind == "end":
-            raise SteinitzSyntaxError("unexpected end of expression", tok.pos)
-        else:
-            raise SteinitzSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-
-    def _exponent(self) -> Exponent:
-        tok = self._advance()
-        if tok.kind == "number":
-            return int(tok.text)
-        if tok.kind == "name" and tok.text == "inf":
-            return INF
-        where = tok.text if tok.kind != "end" else "end of expression"
-        raise SteinitzSyntaxError(f"expected a natural number or 'inf', got {where!r}", tok.pos)
-
-
-def parse_steinitz(text: str) -> SupernaturalNumber:
-    """Parse expression text into a supernatural number (see module docstring)."""
-    if not isinstance(text, str):
-        raise TypeError(f"expected expression text, got {text!r}")
-    return _Parser(_tokenize(text)).parse()
-
-
-def format_steinitz(s: SupernaturalNumber) -> str:
-    """Canonical expression text; parse(format_steinitz(s)) == s."""
-    return str(s)
 
 
 def _parse_rank(text: str) -> Fraction:
@@ -372,9 +233,6 @@ def main(argv: list[str] | None = None) -> int:
             set_default_trial_bound(args.trial_bound)
         return args.handler(args)
     except SteinitzError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -2,13 +2,20 @@
 
 
 def _check_positive_int(x, what: str) -> None:
-    """Raise ValueError unless x is an int (not a bool) of at least 1."""
+    """Raise InvalidArgumentError unless x is an int (not a bool) of at least 1."""
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+        raise InvalidArgumentError(f"{what} must be a positive integer, got {x!r}")
 
 
 class SteinitzError(Exception):
     """Base class for all library-specific errors."""
+
+
+class InvalidArgumentError(SteinitzError, ValueError):
+    """An argument lies outside the range an operation accepts.
+
+    Still a ValueError, so library callers that catch ValueError keep working.
+    """
 
 
 class FactorizationError(SteinitzError):

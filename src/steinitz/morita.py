@@ -18,7 +18,12 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .errors import DenominatorDoesNotDivideError, NotADivisorError, _check_positive_int
+from .errors import (
+    DenominatorDoesNotDivideError,
+    InvalidArgumentError,
+    NotADivisorError,
+    _check_positive_int,
+)
 from .supernatural import (
     SupernaturalNumber,
     divides,
@@ -94,7 +99,7 @@ def corner(a: AlgebraDescriptor, r: Fraction | int | str) -> AlgebraDescriptor:
         raise TypeError("relative rank must be exact (int, Fraction or 'm/n' text)")
     r = Fraction(r)
     if not 0 < r <= 1:
-        raise ValueError(f"relative rank must lie in (0, 1], got {r}")
+        raise InvalidArgumentError(f"relative rank must lie in (0, 1], got {r}")
     return AlgebraDescriptor(scale(a.steinitz, r))
 
 

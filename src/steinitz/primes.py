@@ -5,21 +5,26 @@ table, extended past the table by a plain odd-number sweep up to a
 configurable bound.  That is all a desk-scale calculus needs, and it keeps
 the package free of factoring dependencies.  A cofactor that survives the
 sweep is accepted if it is provably prime (deterministic Miller-Rabin,
-exact far beyond 2**63); otherwise :class:`FactorizationError` is raised
-instead of silently grinding on.
+exact below 318665857834031151167461, about 3.2 * 10**23); otherwise
+:class:`FactorizationError` is raised instead of silently grinding on.  At
+or above that bound :func:`is_prime` cannot prove anything and raises
+:class:`InvalidArgumentError` rather than risk calling a composite prime.
 """
 
 from __future__ import annotations
 
-from .errors import FactorizationError, _check_positive_int
+from .errors import FactorizationError, InvalidArgumentError, _check_positive_int
 
 #: Largest trial divisor attempted when the caller does not override it.
 DEFAULT_TRIAL_BOUND = 1 << 20
 
 _SIEVE_LIMIT = 1 << 16
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
+# The first twelve primes as witnesses make Miller-Rabin exact for
+# n < psi_12 = 318665857834031151167461 (Sorenson and Webster, Math. Comp.
+# 86, 2017); psi_12 itself = 399165290221 * 798330580441 passes all twelve.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 _small_primes_cache: list[int] | None = None
 _default_trial_bound = DEFAULT_TRIAL_BOUND
@@ -28,7 +33,7 @@ _default_trial_bound = DEFAULT_TRIAL_BOUND
 def set_default_trial_bound(bound: int) -> None:
     """Set the process-wide trial-division cap (used when calls pass None)."""
     if bound < 2:
-        raise ValueError(f"trial bound must be at least 2, got {bound}")
+        raise InvalidArgumentError(f"trial bound must be at least 2, got {bound}")
     global _default_trial_bound
     _default_trial_bound = bound
 
@@ -50,9 +55,18 @@ def _small_primes() -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Deterministic primality test (Miller-Rabin with fixed witnesses).
+
+    Raises InvalidArgumentError for n >= 318665857834031151167461, where the
+    witnesses no longer decide primality.
+    """
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise InvalidArgumentError(
+            f"primality is decided only below {_MR_EXACT_BELOW}, "
+            f"got a {n.bit_length()}-bit number"
+        )
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -11,12 +11,14 @@ bookkeeping.  Binary operations walk the two canonical exception tuples
 once, in ascending prime order, with the defaults filled in.
 
 Values are immutable and canonicalized on construction, so structural
-equality coincides with semantic equality.
+equality coincides with semantic equality.  This module also owns the
+expression text: ``str`` writes it and :func:`parse_steinitz` reads it.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -25,8 +27,11 @@ from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     DenominatorDoesNotDivideError,
+    DuplicatePrimeError,
+    DuplicateRestError,
     NotPrimeError,
     RatioTooLargeError,
+    SteinitzSyntaxError,
     _check_positive_int,
 )
 from .primes import factorize, is_prime
@@ -114,12 +119,8 @@ class SupernaturalNumber:
             if p in seen:
                 raise ValueError(f"duplicate prime {p} in exceptions")
             seen[p] = e
-        canonical = tuple(
-            (p, e)
-            for p, e in sorted(seen.items(), key=lambda kv: kv[0])
-            if e != self.default_exp
-        )
-        object.__setattr__(self, "exceptions", canonical)
+        canonical = [(p, e) for p, e in sorted(seen.items()) if e != self.default_exp]
+        object.__setattr__(self, "exceptions", tuple(canonical))
 
     def exponent(self, p: int) -> Exponent:
         return exponent_at(self, p)
@@ -147,6 +148,100 @@ class SupernaturalNumber:
 
 #: The empty product.
 ONE = SupernaturalNumber()
+
+#: Longest number, in digits, that the expression text may contain.  Every
+#: exponent it accepts then prints in at most 1000 digits, and so does a sum
+#: of argv-many of them (the ``mul`` command; argv holds far fewer than 10**7
+#: terms, which add at most 7 digits), all under CPython's 4300-digit
+#: int-to-str limit.
+MAX_NUMBER_DIGITS = 1000
+
+# One token per match: a number, a word, '*' or '^' in group 1, or any other
+# non-space character in group 2.
+_TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z]+|[*^])|(\S))")
+
+
+def parse_steinitz(text: str) -> SupernaturalNumber:
+    """Parse expression text into a supernatural number.
+
+    Grammar (whitespace ignored, ASCII only)::
+
+        expr := term ('*' term)*
+        term := PRIME ['^' exp] | 'rest' '^' exp
+        exp  := NAT | 'inf'
+
+    ``rest`` fixes the exponent of every prime not listed explicitly (at most
+    one ``rest`` term; absent means 0).  The single digit ``1`` is accepted
+    as the empty product.  A number longer than MAX_NUMBER_DIGITS digits is
+    refused.  The whole text is scanned before any term is read, so a bad
+    character is reported before an error in a term.  Errors carry the
+    position of the offending token.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"expected expression text, got {text!r}")
+    tokens: list[tuple[str, int]] = []
+    for m in _TOKEN.finditer(text):
+        tok, bad = m.group(1, 2)
+        if bad is not None:
+            raise SteinitzSyntaxError(f"unexpected character {bad!r}", m.start(2))
+        if len(tok) > MAX_NUMBER_DIGITS and tok.isdigit():
+            raise SteinitzSyntaxError(
+                f"number longer than {MAX_NUMBER_DIGITS} digits", m.start(1)
+            )
+        tokens.append((tok, m.start(1)))
+    tokens.append(("", len(text)))  # the end of the text
+
+    exceptions: dict[int, Exponent] = {}
+    default: Exponent | None = None
+    i = 0
+    while True:
+        head, at = tokens[i]
+        if not head:
+            raise SteinitzSyntaxError("unexpected end of expression", at)
+        if not (head.isdigit() or head == "rest"):
+            raise SteinitzSyntaxError(f"unexpected {head!r}", at)
+        base = int(head) if head.isdigit() else None
+        exp: Exponent = 1
+        i += 1
+        if tokens[i][0] == "^":
+            if base == 1:
+                raise SteinitzSyntaxError("'1' does not take an exponent", tokens[i][1])
+            word, where = tokens[i + 1]
+            if word.isdigit():
+                exp = int(word)
+            elif word == "inf":
+                exp = INF
+            else:
+                got = word or "end of expression"
+                raise SteinitzSyntaxError(
+                    f"expected a natural number or 'inf', got {got!r}", where
+                )
+            i += 2
+        elif base is None:
+            raise SteinitzSyntaxError("'rest' requires an explicit exponent", at)
+        if base is None:
+            if default is not None:
+                raise DuplicateRestError(f"'rest' appears more than once (at position {at})")
+            default = exp
+        elif base != 1:
+            if not is_prime(base):
+                raise NotPrimeError(f"{base} is not prime (at position {at})")
+            if base in exceptions:
+                raise DuplicatePrimeError(
+                    f"prime {base} appears more than once (at position {at})"
+                )
+            exceptions[base] = exp
+        sep, at = tokens[i]
+        if sep != "*":
+            if sep:
+                raise SteinitzSyntaxError(f"unexpected {sep!r}", at)
+            return SupernaturalNumber(0 if default is None else default, exceptions)
+        i += 1
+
+
+def format_steinitz(s: SupernaturalNumber) -> str:
+    """Canonical expression text; parse_steinitz(format_steinitz(s)) == s."""
+    return str(s)
 
 #: Largest bit-length bound accepted for the numerator or the denominator of
 #: a connecting ratio.  2**14000 has 4215 decimal digits, so every accepted

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DenominatorDoesNotDivideError,
+    InvalidArgumentError,
     NotADivisorError,
     SpanCapExceededError,
     ZeroIdempotentError,
@@ -681,9 +682,9 @@ def run_verification(
     fullness for random idempotents.  Deterministic for a fixed seed.
     """
     if max_order < 2:
-        raise ValueError(f"max order must be at least 2, got {max_order}")
+        raise InvalidArgumentError(f"max order must be at least 2, got {max_order}")
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise InvalidArgumentError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
     for t in range(trials):

@@ -1,24 +1,39 @@
+import contextlib
 import hashlib
+import io
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
+import steinitz
 from steinitz import (
     INF,
     ONE,
+    AlgebraDescriptor,
     DuplicatePrimeError,
     DuplicateRestError,
     ExpressionError,
+    InvalidArgumentError,
     NotPrimeError,
     SteinitzSyntaxError,
     SupernaturalNumber,
+    corner,
+    decompose_matrix_factor,
+    enumerate_morita_class,
     format_steinitz,
     parse_steinitz,
+    run_verification,
 )
+from steinitz import cli
 from steinitz.cli import main
+from steinitz.primes import set_default_trial_bound
+from steinitz.supernatural import MAX_NUMBER_DIGITS
 from helpers import random_supernatural, supernaturals
 
 
@@ -51,6 +66,75 @@ class TestParse:
             parse_steinitz("2*@")
         assert exc.value.position == 2
         assert "position 2" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("2*@", SteinitzSyntaxError, "unexpected character '@' (at position 2)"),
+            # The whole text is scanned first: '@' beats the non-prime 4.
+            ("4*@", SteinitzSyntaxError, "unexpected character '@' (at position 2)"),
+            ("2 * 3 +", SteinitzSyntaxError, "unexpected character '+' (at position 6)"),
+            ("2*", SteinitzSyntaxError, "unexpected end of expression (at position 2)"),
+            ("", SteinitzSyntaxError, "unexpected end of expression (at position 0)"),
+            ("3*1^2", SteinitzSyntaxError, "'1' does not take an exponent (at position 3)"),
+            ("2*rest", SteinitzSyntaxError, "'rest' requires an explicit exponent (at position 2)"),
+            ("rest*2", SteinitzSyntaxError, "'rest' requires an explicit exponent (at position 0)"),
+            (
+                "2^foo",
+                SteinitzSyntaxError,
+                "expected a natural number or 'inf', got 'foo' (at position 2)",
+            ),
+            (
+                "rest^",
+                SteinitzSyntaxError,
+                "expected a natural number or 'inf', got 'end of expression' (at position 5)",
+            ),
+            (
+                "2^^3",
+                SteinitzSyntaxError,
+                "expected a natural number or 'inf', got '^' (at position 2)",
+            ),
+            ("2 3", SteinitzSyntaxError, "unexpected '3' (at position 2)"),
+            ("2**3", SteinitzSyntaxError, "unexpected '*' (at position 2)"),
+            ("2^3^4", SteinitzSyntaxError, "unexpected '^' (at position 3)"),
+            ("inf", SteinitzSyntaxError, "unexpected 'inf' (at position 0)"),
+            ("3*4^2", NotPrimeError, "4 is not prime (at position 2)"),
+            ("2*3*2^5", DuplicatePrimeError, "prime 2 appears more than once (at position 4)"),
+            ("rest^1*rest^2", DuplicateRestError, "'rest' appears more than once (at position 7)"),
+        ],
+    )
+    def test_error_table(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_steinitz(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_number_at_the_digit_cap_parses(self):
+        nines = "9" * MAX_NUMBER_DIGITS
+        assert parse_steinitz(f"2^{nines}") == SupernaturalNumber(0, {2: int(nines)})
+        assert parse_steinitz(f"rest^{nines}") == SupernaturalNumber(int(nines))
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("2^" + "9" * (MAX_NUMBER_DIGITS + 1), 2),
+            ("3 * " + "0" * MAX_NUMBER_DIGITS + "7", 4),
+            ("2^" + "9" * 5000, 2),
+            ("rest^" + "1" * 5000 + "*@", 5),
+        ],
+    )
+    def test_number_past_the_digit_cap(self, capsys, text, position):
+        with pytest.raises(SteinitzSyntaxError) as exc:
+            parse_steinitz(text)
+        assert exc.value.position == position
+        assert str(exc.value) == (
+            f"number longer than {MAX_NUMBER_DIGITS} digits (at position {position})"
+        )
+        assert main(["parse", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: number longer than")
+        assert "set_int_max_str_digits" not in captured.err
 
     def test_bad_character(self):
         with pytest.raises(SteinitzSyntaxError):
@@ -152,6 +236,21 @@ class TestMainExitCodes:
             captured = capsys.readouterr()
             assert captured.err.startswith("error:"), argv
 
+    @pytest.mark.parametrize(
+        "argv",
+        # 318665857834031151167461 = 399165290221 * 798330580441 passes
+        # Miller-Rabin for all twelve witnesses 2..37.
+        [
+            ["decompose", "rest^1", "318665857834031151167461"],
+            ["parse", "318665857834031151167461^2"],
+        ],
+    )
+    def test_unprovable_prime_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: primality is decided only below")
+
     def test_usage_errors_exit_two(self, capsys):
         assert main(["not-a-command"]) == 2
         assert main(["divides", "2"]) == 2
@@ -161,6 +260,121 @@ class TestMainExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
+
+
+# Bases: the empty product, primes, composites, a prime near 2**61 and the
+# least composite that all twelve Miller-Rabin witnesses pass.
+_BASES = st.sampled_from(
+    ("1", "2", "3", "5", "7", "13", "4", "9", "91", "1000003", str(2**61 - 1),
+     "318665857834031151167461")
+)
+_EXPONENTS = st.one_of(
+    st.integers(min_value=0, max_value=10**30).map(str),
+    st.sampled_from(("inf", "", "x", "-1", "^", "9" * 5000)),
+)
+_TERMS = st.one_of(
+    st.builds(lambda b, e: b if e is None else f"{b}^{e}", _BASES, st.none() | _EXPONENTS),
+    _EXPONENTS.map("rest^{}".format),
+)
+_EXPRS = st.one_of(
+    st.lists(_TERMS, max_size=4).map("*".join),
+    st.text(max_size=12),
+    st.text(alphabet="0123456789^* restinf", max_size=16),
+)
+_ARGV = st.one_of(
+    st.builds(lambda c, a: [c, a], st.sampled_from(("parse", "locally-finite")), _EXPRS),
+    st.builds(
+        lambda c, xs: [c, *xs],
+        st.sampled_from(("mul", "lcm", "gcd")),
+        st.lists(_EXPRS, min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda c, a, b: [c, a, b],
+        st.sampled_from(("divides", "iso", "morita", "ratio", "witness", "compare")),
+        _EXPRS,
+        _EXPRS,
+    ),
+    st.builds(
+        lambda a, r: ["corner", a, r],
+        _EXPRS,
+        st.text(alphabet="0123456789/-", max_size=6),
+    ),
+    st.builds(
+        lambda a, n: ["decompose", a, n],
+        _EXPRS,
+        st.integers(min_value=-3, max_value=10**6).map(str) | st.text(max_size=4),
+    ),
+    st.builds(lambda a, n: ["enumerate", a, str(n)], _EXPRS, st.integers(min_value=-2, max_value=20)),
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200)
+    @given(_ARGV, st.none() | st.integers(min_value=-2, max_value=100))
+    def test_main_exits_cleanly(self, argv, trial_bound):
+        """Any argv gives exit 0, 1 or 2, never a traceback; exit 2 names the error."""
+        if trial_bound is not None:
+            argv = ["--trial-bound", str(trial_bound), *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue() + err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in text
+        assert "set_int_max_str_digits" not in text
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert any(ln.startswith("error:") or ": error:" in ln for ln in lines), argv
+        else:
+            assert err.getvalue() == "", argv
+
+
+class TestErrorContract:
+    def test_argument_checks_raise_invalid_argument_error(self):
+        a = AlgebraDescriptor(ONE)
+        for call in (
+            lambda: corner(a, 2),
+            lambda: decompose_matrix_factor(a, 0),
+            lambda: enumerate_morita_class(a, 0),
+            lambda: run_verification(0, max_order=1),
+            lambda: run_verification(0, trials=0),
+            lambda: set_default_trial_bound(1),
+        ):
+            with pytest.raises(InvalidArgumentError) as exc:
+                call()
+            assert isinstance(exc.value, ValueError)
+
+    def test_internal_errors_are_not_reported_as_input_errors(self, monkeypatch):
+        """main maps only SteinitzError to exit 2; a bug raises through."""
+
+        def broken(args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_parse", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["parse", "2"])
+
+
+def _run_python(*args):
+    src = os.path.dirname(os.path.dirname(steinitz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+class TestPackageRoot:
+    def test_import_does_not_load_the_cli(self):
+        code = (
+            "import steinitz, sys; "
+            "print(sorted(m for m in ('steinitz.cli', 'argparse') if m in sys.modules))"
+        )
+        assert _run_python("-c", code) == "[]\n"
+
+    def test_cli_still_reachable(self):
+        code = "import steinitz; print(steinitz.cli.main.__module__)"
+        assert _run_python("-c", code) == "steinitz.cli\n"
+        assert _run_python("-m", "steinitz", "parse", "3 * 2^inf") == "2^inf*3\n"
 
 
 class TestMainOutputs:

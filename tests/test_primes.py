@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from steinitz import FactorizationError, factorize, is_prime
+from steinitz import FactorizationError, InvalidArgumentError, factorize, is_prime
 from steinitz.primes import get_default_trial_bound, set_default_trial_bound
 
 
@@ -38,6 +38,32 @@ KNOWN = [
 @pytest.mark.parametrize("n,expected", KNOWN)
 def test_is_prime_known_values(n, expected):
     assert is_prime(n) is expected
+
+
+#: Least composite that passes Miller-Rabin for all twelve witnesses 2..37.
+PSI_12 = 318665857834031151167461
+
+
+@pytest.mark.parametrize("n", [PSI_12, 2**89 - 1, PSI_12 + 1, 10**1000])
+def test_is_prime_refuses_what_it_cannot_prove(n):
+    """At or above psi_12 the fixed witnesses prove nothing, so no answer is given."""
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(InvalidArgumentError) as exc:
+        is_prime(n)
+    assert isinstance(exc.value, ValueError)
+    assert str(PSI_12) in str(exc.value)
+
+
+def test_is_prime_below_the_bound():
+    # psi_11, a strong pseudoprime to the bases 2..31; base 37 exposes it.
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert is_prime(3825123056546413051) is False
+    assert is_prime(PSI_12 - 1) is False
+
+
+def test_factorize_refuses_an_unprovable_cofactor():
+    with pytest.raises(InvalidArgumentError):
+        factorize(PSI_12)
 
 
 @given(st.integers(min_value=-10, max_value=100_000))
@@ -92,5 +118,5 @@ def test_default_trial_bound_roundtrip():
             factorize(1009 * 1013)
     finally:
         set_default_trial_bound(old)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         set_default_trial_bound(1)

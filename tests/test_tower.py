@@ -2,6 +2,7 @@ import ast
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,7 +160,7 @@ class TestEntryContract:
             IdempotentElement(MatrixStage.identity(2), 3)
 
     def test_no_tuple_built_from_a_generator(self):
-        """tower.py builds every tuple from a list, never from a generator.
+        """The package builds every tuple from a list, never from a generator.
 
         A tuple built from a generator grows by reallocation, so it never
         reuses a freed tuple of its final size; when it is freed it is
@@ -169,10 +170,10 @@ class TestEntryContract:
         benchmark's peak_rss_mb rose threefold.  The wall-clock benchmark
         is not part of this suite, so this guard keeps the rule.
         """
-        tree = ast.parse(open(tower.__file__, encoding="utf-8").read())
         offenders = [
-            node.lineno
-            for node in ast.walk(tree)
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(tower.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "tuple"
@@ -180,7 +181,7 @@ class TestEntryContract:
             and not node.keywords
             and isinstance(node.args[0], ast.GeneratorExp)
         ]
-        assert offenders == [], f"tuple(<generator>) at lines {offenders}"
+        assert offenders == [], f"tuple(<generator>) at {offenders}"
 
 
 class TestExactRank:
