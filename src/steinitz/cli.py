@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import reduce
 
-from .errors import SteinitzError, SteinitzSyntaxError
+from .errors import SteinitzError
 from .morita import (
     AlgebraDescriptor,
     CornerComparison,
+    _morita_class,
     are_isomorphic,
     corner,
     decompose_matrix_factor,
-    enumerate_morita_class,
     morita_ratio,
     morita_witness,
     proper_corner_compare,
@@ -38,13 +37,6 @@ from .supernatural import (
     parse_steinitz,
 )
 from .tower import run_verification
-
-
-def _parse_rank(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise SteinitzSyntaxError(f"not a rational number: {text!r}", 0) from err
 
 
 def _print_decision(flag: bool) -> int:
@@ -122,7 +114,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_corner(args) -> int:
-    result = corner(AlgebraDescriptor(parse_steinitz(args.expr)), _parse_rank(args.rank))
+    result = corner(AlgebraDescriptor(parse_steinitz(args.expr)), args.rank)
     print(format_steinitz(result.steinitz))
     return 0
 
@@ -134,8 +126,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    values = enumerate_morita_class(AlgebraDescriptor(parse_steinitz(args.expr)), args.bound)
-    for value in values:
+    # Members are printed as they are made, so the class is never held whole.
+    for value in _morita_class(AlgebraDescriptor(parse_steinitz(args.expr)), args.bound):
         print(format_steinitz(value))
     return 0
 
@@ -201,13 +193,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("corner", _cmd_corner, "scale a descriptor by a relative rank in (0, 1]")
     p.add_argument("expr")
-    p.add_argument("rank", help="rational in (0, 1], e.g. 3/4")
+    p.add_argument("rank", help="'m' or 'm/n' in (0, 1], e.g. 3/4")
 
     p = cmd("decompose", _cmd_decompose, "split off a matrix factor of the given order")
     p.add_argument("expr")
     p.add_argument("order", type=int)
 
-    p = cmd("enumerate", _cmd_enumerate, "distinct Morita-class members up to a bound")
+    p = cmd(
+        "enumerate", _cmd_enumerate, "distinct Morita-class members up to a bound (at most 500)"
+    )
     p.add_argument("expr")
     p.add_argument("bound", type=int)
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd
+from typing import Iterator
 
 from .errors import (
     DenominatorDoesNotDivideError,
@@ -24,14 +25,22 @@ from .errors import (
     NotADivisorError,
     _check_positive_int,
 )
+from .primes import factorize
 from .supernatural import (
     SupernaturalNumber,
-    divides,
     from_natural,
+    is_infinite,
     mul,
     rationally_connected,
+    read_rational,
     scale,
 )
+
+#: Largest bound enumerate_morita_class accepts.  The walk visits bound**2
+#: fractions and the class can have as many members, so an unchecked bound
+#: from a short argv could start unbounded work; 500 is far above what the
+#: classify-small benchmark asks for (120).
+MAX_ENUMERATE_BOUND = 500
 
 
 @dataclass(frozen=True)
@@ -92,14 +101,10 @@ def tensor(a: AlgebraDescriptor, b: AlgebraDescriptor) -> AlgebraDescriptor:
 def corner(a: AlgebraDescriptor, r: Fraction | int | str) -> AlgebraDescriptor:
     """Descriptor of the corner cut by an idempotent of relative rank r.
 
-    Requires 0 < r <= 1; raises DenominatorDoesNotDivideError when r is not
-    realizable against st(A).
+    Requires 0 < r <= 1, read by read_rational; raises
+    DenominatorDoesNotDivideError when r is not realizable against st(A).
     """
-    if isinstance(r, float):
-        raise TypeError("relative rank must be exact (int, Fraction or 'm/n' text)")
-    r = Fraction(r)
-    if not 0 < r <= 1:
-        raise InvalidArgumentError(f"relative rank must lie in (0, 1], got {r}")
+    r = read_rational(r, "relative rank", at_most_one=True)
     return AlgebraDescriptor(scale(a.steinitz, r))
 
 
@@ -132,12 +137,14 @@ def proper_corner_compare(
 def decompose_matrix_factor(a: AlgebraDescriptor, n: int) -> AlgebraDescriptor:
     """Split off an M_n factor: the descriptor C with A = M_n(C).
 
-    Requires n to divide st(A); round-trips with matrix_over.
+    Requires n to divide st(A), which is exactly when st(A) / n has no
+    negative exponent; round-trips with matrix_over.
     """
     _check_positive_int(n, "matrix order")
-    if not divides(from_natural(n), a.steinitz):
-        raise NotADivisorError(f"{n} does not divide {a.steinitz}")
-    return AlgebraDescriptor(scale(a.steinitz, Fraction(1, n)))
+    try:
+        return AlgebraDescriptor(scale(a.steinitz, Fraction(1, n)))
+    except DenominatorDoesNotDivideError:
+        raise NotADivisorError(f"{n} does not divide {a.steinitz}") from None
 
 
 def enumerate_morita_class(
@@ -147,20 +154,51 @@ def enumerate_morita_class(
 
     Output order follows the generating fractions sorted by (n, m); values
     already produced by a smaller fraction are skipped, so the list is
-    duplicate-free and deterministic.
+    duplicate-free and deterministic.  The bound may be at most
+    MAX_ENUMERATE_BOUND.
+    """
+    return list(_morita_class(a, bound))
+
+
+def _morita_class(a: AlgebraDescriptor, bound: int) -> Iterator[SupernaturalNumber]:
+    """The members of enumerate_morita_class, one at a time.
+
+    q * st(A) exists exactly when no prime divides n more often than its
+    finite exponent in st(A) allows, and two such q give the same member
+    exactly when they agree after the primes of infinite exponent are
+    stripped out.  So each n is factored once, each m and n is reduced to
+    its stripped part once, and scale is called only for a new member.
     """
     _check_positive_int(bound, "bound")
-    out: list[SupernaturalNumber] = []
-    seen: set[SupernaturalNumber] = set()
+    if bound > MAX_ENUMERATE_BOUND:
+        raise InvalidArgumentError(
+            f"bound must be at most {MAX_ENUMERATE_BOUND}, got {bound}"
+        )
+    s = a.steinitz
+    listed = dict(s.exceptions)
+    if is_infinite(s.default_exp):
+        keep = [p for p, e in listed.items() if not is_infinite(e) and p <= bound]
+        stripped = [0] + [_part_over(k, keep) for k in range(1, bound + 1)]
+    else:
+        drop = [p for p, e in listed.items() if is_infinite(e) and p <= bound]
+        stripped = [0] + [k // _part_over(k, drop) for k in range(1, bound + 1)]
+    seen: set[tuple[int, int]] = set()
     for n in range(1, bound + 1):
+        if any(v > listed.get(p, s.default_exp) for p, v in factorize(n).items()):
+            continue
+        n_part = stripped[n]
         for m in range(1, bound + 1):
-            if _int_gcd(m, n) != 1:
-                continue
-            try:
-                value = scale(a.steinitz, Fraction(m, n))
-            except DenominatorDoesNotDivideError:
-                continue
-            if value not in seen:
-                seen.add(value)
-                out.append(value)
-    return out
+            key = (stripped[m], n_part)
+            if key not in seen and gcd(m, n) == 1:
+                seen.add(key)
+                yield scale(s, Fraction(m, n))
+
+
+def _part_over(k: int, primes: list[int]) -> int:
+    """The largest divisor of the positive k made of the given primes."""
+    part = 1
+    for p in primes:
+        while k % p == 0:
+            k //= p
+            part *= p
+    return part

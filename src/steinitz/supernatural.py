@@ -29,6 +29,7 @@ from .errors import (
     DenominatorDoesNotDivideError,
     DuplicatePrimeError,
     DuplicateRestError,
+    InvalidArgumentError,
     NotPrimeError,
     RatioTooLargeError,
     SteinitzSyntaxError,
@@ -239,6 +240,41 @@ def parse_steinitz(text: str) -> SupernaturalNumber:
         i += 1
 
 
+# 'm' or 'm/n' in ASCII digits, with a nonzero denominator.
+_RATIONAL = re.compile(r"\s*([0-9]+)(?:/(0*[1-9][0-9]*))?\s*")
+
+
+def read_rational(
+    q: Fraction | int | str, what: str, at_most_one: bool = False
+) -> Fraction:
+    """q as a positive Fraction, at most 1 when ``at_most_one``.
+
+    The one reader of relative ranks and scale factors.  It takes an int, a
+    Fraction, or ASCII text 'm' or 'm/n' with at most MAX_NUMBER_DIGITS
+    digits in each number, so exponent notation and overlong literals
+    cannot start unbounded work.  Floats, bools and other types raise
+    TypeError; other text and values out of range raise
+    InvalidArgumentError.
+    """
+    if isinstance(q, str):
+        match = _RATIONAL.fullmatch(q)
+        if match is None or any(len(g) > MAX_NUMBER_DIGITS for g in match.groups("")):
+            raise InvalidArgumentError(
+                f"{what} must be 'm' or 'm/n' with at most {MAX_NUMBER_DIGITS} "
+                f"digits each, got {q!r}"
+            )
+        value = Fraction(int(match[1]), int(match[2] or 1))
+    elif isinstance(q, (int, Fraction)) and not isinstance(q, bool):
+        value = Fraction(q)
+    else:
+        raise TypeError(f"{what} must be exact (int, Fraction or 'm/n' text), got {q!r}")
+    if at_most_one and not 0 < value <= 1:
+        raise InvalidArgumentError(f"{what} must lie in (0, 1], got {value}")
+    if value <= 0:
+        raise InvalidArgumentError(f"{what} must be positive, got {value}")
+    return value
+
+
 def format_steinitz(s: SupernaturalNumber) -> str:
     """Canonical expression text; parse_steinitz(format_steinitz(s)) == s."""
     return str(s)
@@ -356,17 +392,17 @@ def rationally_connected(
 def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
     """Multiply s by a positive rational q = m/n, exponentwise.
 
-    Each exponent moves by v_p(m) - v_p(n) with INF absorbing; an exponent
-    that would become negative raises DenominatorDoesNotDivideError.
+    q is read by read_rational.  Each exponent moves by v_p(m) - v_p(n) with
+    INF absorbing; an exponent that would become negative raises
+    DenominatorDoesNotDivideError.  m and n are each factored once, and not
+    at all when equal to 1.
     """
-    if isinstance(q, float):
-        raise TypeError("scale factor must be exact (int, Fraction or 'm/n' text)")
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError(f"scale factor must be positive, got {q}")
-    adjust: dict[int, int] = dict(factorize(q.numerator))
-    for p, e in factorize(q.denominator).items():
-        adjust[p] = adjust.get(p, 0) - e
+    q = read_rational(q, "scale factor")
+    adjust: dict[int, int] = {}
+    for k, sign in ((q.numerator, 1), (q.denominator, -1)):
+        if k > 1:
+            for p, e in factorize(k).items():
+                adjust[p] = adjust.get(p, 0) + sign * e
     exc: dict[int, Exponent] = dict(s.exceptions)
     for p, delta in adjust.items():
         e = exc.get(p, s.default_exp)

@@ -47,6 +47,7 @@ from .supernatural import (
     divides,
     from_natural,
     mul,
+    read_rational,
     scale,
 )
 
@@ -556,11 +557,7 @@ def verify_corner_scaling(
     the symbolic scaling of the tower lcm and checked to divide the scaled
     descriptor.
     """
-    if isinstance(r, float):
-        raise TypeError("relative rank must be exact (int, Fraction or 'm/n' text)")
-    r = Fraction(r)
-    if not 0 < r <= 1:
-        raise ValueError(f"relative rank must lie in (0, 1], got {r}")
+    r = read_rational(r, "relative rank", at_most_one=True)
     first = tower.orders[0]
     if first % r.denominator:
         raise DenominatorDoesNotDivideError(

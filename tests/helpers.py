@@ -14,7 +14,16 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from steinitz import INF, Infinity, MatrixStage, SupernaturalNumber
+from steinitz import (
+    INF,
+    DenominatorDoesNotDivideError,
+    FactorizationError,
+    Infinity,
+    MatrixStage,
+    SupernaturalNumber,
+    is_prime,
+    scale,
+)
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: A prime outside PRIME_POOL: its exponent is the default of every value
@@ -133,3 +142,72 @@ supernaturals = st.builds(
         unique_by=lambda kv: kv[0],
     ),
 )
+
+
+def _primes_below(limit: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    composite = bytearray(limit)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, limit, p))
+    return [p for p in range(2, limit) if not composite[p]]
+
+
+#: The primes below 2**16, which the sweep oracle divides out first.
+_SWEEP_SMALL_PRIMES = _primes_below(1 << 16)
+
+
+def sweep_factorize(n: int, bound: int) -> dict[int, int]:
+    """The trial-division factorize that rho replaced, kept as the reference.
+
+    Sieve primes below 2**16, then every odd d from 2**16 + 1 up to the
+    bound; a cofactor left over is kept if is_prime proves it, and otherwise
+    raises FactorizationError (InvalidArgumentError from is_prime at or
+    above psi_12).
+    """
+    remaining = n
+    factors: dict[int, int] = {}
+    for p in _SWEEP_SMALL_PRIMES:
+        if p > bound or p * p > remaining:
+            break
+        while remaining % p == 0:
+            remaining //= p
+            factors[p] = factors.get(p, 0) + 1
+    if remaining > 1 and remaining >= 1 << 32:
+        d = (1 << 16) + 1
+        while d * d <= remaining and d <= bound:
+            while remaining % d == 0:
+                remaining //= d
+                factors[d] = factors.get(d, 0) + 1
+            d += 2
+    if remaining > 1:
+        if is_prime(remaining):
+            factors[remaining] = factors.get(remaining, 0) + 1
+        else:
+            raise FactorizationError(
+                f"{n} has a composite cofactor {remaining} with no prime "
+                f"factor <= {bound}"
+            )
+    return factors
+
+
+def pairwise_enumerate(s: SupernaturalNumber, bound: int) -> list[SupernaturalNumber]:
+    """The O(bound**2) Morita-class walk that the constructive one replaced.
+
+    Tries scale(s, m/n) for every reduced m/n with m, n <= bound in (n, m)
+    order and keeps each value the first time it appears.
+    """
+    out: list[SupernaturalNumber] = []
+    seen: set[SupernaturalNumber] = set()
+    for n in range(1, bound + 1):
+        for m in range(1, bound + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            try:
+                value = scale(s, Fraction(m, n))
+            except DenominatorDoesNotDivideError:
+                continue
+            if value not in seen:
+                seen.add(value)
+                out.append(value)
+    return out

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +24,17 @@ from steinitz import (
     NotPrimeError,
     SteinitzSyntaxError,
     SupernaturalNumber,
+    Tower,
     corner,
     decompose_matrix_factor,
     enumerate_morita_class,
+    factorize,
     format_steinitz,
+    from_natural,
     parse_steinitz,
     run_verification,
+    scale,
+    verify_corner_scaling,
 )
 from steinitz import cli
 from steinitz.cli import main
@@ -308,7 +314,33 @@ _ARGV = st.one_of(
 )
 
 
+# Rank texts that Fraction would read: exponent notation (10**60000 from
+# eight characters), decimals, signs and underscores, and overlong numbers.
+_RANK_TEXTS = st.one_of(
+    st.builds("{}e-{}".format, st.integers(1, 9), st.integers(0, 60000)),
+    st.builds("{}E{}".format, st.integers(1, 9), st.integers(-60000, 60000)),
+    st.sampled_from(("1e-60000", "0.5", ".5", "+1/2", "1_0/2_0", "1/0", "0/5", " 1/2 ",
+                     "1" * 1001, "1/" + "3" * 1001, "3" * 1000 + "/" + "7" * 1000)),
+)
+
+
 class TestArgvFuzz:
+    @settings(max_examples=60)
+    @given(st.sampled_from(("2^inf*5^inf", "rest^1", "3", "rest^inf")), _RANK_TEXTS)
+    def test_rank_text_is_read_in_bounded_time(self, expr, rank):
+        """A corner rank is plain 'm' or 'm/n'; anything else exits 2 at once."""
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["corner", expr, rank])
+        assert time.perf_counter() - start < 2.0, rank
+        assert code in (0, 2), (expr, rank)
+        if code == 2:
+            assert err.getvalue().startswith("error:"), rank
+            assert out.getvalue() == ""
+        else:
+            assert rank.strip() == "1/2", rank
+
     @settings(max_examples=200)
     @given(_ARGV, st.none() | st.integers(min_value=-2, max_value=100))
     def test_main_exits_cleanly(self, argv, trial_bound):
@@ -330,6 +362,30 @@ class TestArgvFuzz:
 
 
 class TestErrorContract:
+    def test_rank_and_bound_checks_raise_invalid_argument_error(self):
+        a = AlgebraDescriptor(SupernaturalNumber(0, {2: INF}))
+        for call in (
+            lambda: corner(a, "1e-60000"),
+            lambda: corner(a, "0.5"),
+            lambda: corner(a, "1/0"),
+            lambda: corner(a, "3/2"),
+            lambda: corner(a, "1/" + "2" * (MAX_NUMBER_DIGITS + 1)),
+            lambda: scale(a.steinitz, "1e5"),
+            lambda: scale(a.steinitz, Fraction(-1, 2)),
+            lambda: verify_corner_scaling(from_natural(8), Tower((8,)), Fraction(3, 2), seed=0),
+            lambda: verify_corner_scaling(from_natural(8), Tower((8,)), "2e-1", seed=0),
+            lambda: enumerate_morita_class(a, 501),
+            lambda: factorize(6, trial_bound=1),
+        ):
+            with pytest.raises(InvalidArgumentError):
+                call()
+        for bad in (0.5, True, None):
+            with pytest.raises(TypeError):
+                corner(a, bad)
+        assert corner(a, " 3/4 ").steinitz == SupernaturalNumber(0, {2: INF, 3: 1})
+        # 2**3000 has 904 digits: under the cap, and absorbed by 2^inf.
+        assert corner(a, f"1/{2**3000}") == a
+
     def test_argument_checks_raise_invalid_argument_error(self):
         a = AlgebraDescriptor(ONE)
         for call in (
@@ -412,6 +468,32 @@ class TestMainOutputs:
     def test_enumerate_output(self, capsys):
         assert main(["enumerate", "2", "2"]) == 0
         assert capsys.readouterr().out.splitlines() == ["2", "2^2", "1"]
+
+    # sha256 of `steinitz enumerate EXPR BOUND` stdout, recorded with the
+    # pairwise walk that tried scale on every reduced m/n.
+    ENUMERATE_SHA256 = {
+        ("2^inf", 120): "248b387b6247f0cd30a70039494dbc102058352aac3cf9d83ead1b15f5e32a58",
+        ("2*3^2*5", 110): "5d2ffb309f297e69c39c9c95b7a7a41db6d3bab98e2a5dde4f2b8f38e517ca05",
+        ("rest^1*3^inf", 60): "39dcf1a546005086214a60cebebfa1dd8ebf8b75a542bdba7afcf25ed3918603",
+        ("rest^inf*7^2", 100): "edef91e90d0e7bdbcd510a402fe479cb551f93fbc6ef3d2879064a4b2c039420",
+        ("1", 120): "b4985eeb9f698e810712f3e0cb5d24e4bfedc1c6b8500709d401fb2771b459df",
+        ("2^3*5^inf*11", 90): "5d6eee8ad7c37b55ccf14cc877ab27c443570c6314b2bcb2a44300714bda18a2",
+        ("rest^2*3^inf*5", 40): "f52270ffbf293cf13f90860cb28e4b31c1929cb59218958c09f6f7d7077e76de",
+    }
+
+    @pytest.mark.parametrize("expr,bound", sorted(ENUMERATE_SHA256))
+    def test_enumerate_text_pinned(self, capsys, expr, bound):
+        assert main(["enumerate", expr, str(bound)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.ENUMERATE_SHA256[expr, bound]
+
+    def test_enumerate_bound_cap_exits_two(self, capsys):
+        start = time.perf_counter()
+        assert main(["enumerate", "1", "3000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bound must be at most 500, got 3000\n"
 
     def test_verify_report(self, capsys):
         assert main(["verify", "--seed", "3", "--trials", "5"]) == 0

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from steinitz import (
     ONE,
     AlgebraDescriptor,
     CornerComparison,
+    InvalidArgumentError,
     NotADivisorError,
     SupernaturalNumber,
     are_isomorphic,
@@ -21,10 +24,12 @@ from steinitz import (
     morita_ratio,
     morita_witness,
     mul,
+    parse_steinitz,
     proper_corner_compare,
     tensor,
 )
-from helpers import supernaturals
+from steinitz import morita, supernatural
+from helpers import pairwise_enumerate, random_supernatural, supernaturals
 
 descriptors = supernaturals.map(AlgebraDescriptor)
 naturals = st.integers(min_value=1, max_value=400)
@@ -105,6 +110,26 @@ class TestMatrixOverAndDecompose:
     def test_infinite_part_survives_decomposition(self):
         rest_inf = AlgebraDescriptor(SupernaturalNumber(INF))
         assert decompose_matrix_factor(rest_inf, 12) == rest_inf
+
+    def test_factors_the_order_once(self, monkeypatch):
+        calls = []
+        real = supernatural.factorize
+
+        def counting(n, *args):
+            calls.append(n)
+            return real(n, *args)
+
+        monkeypatch.setattr(supernatural, "factorize", counting)
+        n = 999983 * 1000003
+        a = AlgebraDescriptor(SupernaturalNumber(1))
+        assert decompose_matrix_factor(a, n).steinitz == SupernaturalNumber(
+            1, {999983: 0, 1000003: 0}
+        )
+        assert calls == [n]
+        calls.clear()
+        with pytest.raises(NotADivisorError, match=f"^{n} does not divide 2\\^inf$"):
+            decompose_matrix_factor(AlgebraDescriptor(SupernaturalNumber(0, {2: INF})), n)
+        assert calls == [n]
 
 
 class TestTensor:
@@ -230,3 +255,49 @@ class TestEnumerate:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             enumerate_morita_class(AlgebraDescriptor(ONE), 0)
+
+    def test_bound_is_capped(self):
+        cap = morita.MAX_ENUMERATE_BOUND
+        assert cap == 500
+        two_inf = AlgebraDescriptor(SupernaturalNumber(0, {2: INF}))
+        # 2^inf absorbs every power of 2, so the members are the odd multiples.
+        assert enumerate_morita_class(two_inf, cap) == [
+            mul(two_inf.steinitz, from_natural(m)) for m in range(1, cap + 1, 2)
+        ]
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match=f"bound must be at most {cap}, got {cap + 1}"):
+            enumerate_morita_class(AlgebraDescriptor(ONE), cap + 1)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_pairwise_walk(self, seed):
+        rng = random.Random(seed)
+        for _ in range(8):
+            s = random_supernatural(rng, max_primes=4, max_exp=3)
+            bound = rng.randint(1, 24)
+            assert enumerate_morita_class(AlgebraDescriptor(s), bound) == pairwise_enumerate(
+                s, bound
+            ), (str(s), bound)
+
+    @pytest.mark.parametrize(
+        "text,bound",
+        [("2^inf", 120), ("2*3^2*5", 60), ("rest^1*3^inf", 30), ("rest^inf*7^2", 60),
+         ("rest^inf", 40), ("rest^2*5^inf*7", 25), ("1", 50)],
+    )
+    def test_matches_the_pairwise_walk_on_fixed_inputs(self, text, bound):
+        s = parse_steinitz(text)
+        assert enumerate_morita_class(AlgebraDescriptor(s), bound) == pairwise_enumerate(s, bound)
+
+    def test_scale_runs_once_per_member(self, monkeypatch):
+        calls = []
+        real = morita.scale
+
+        def counting(s, q):
+            calls.append(q)
+            return real(s, q)
+
+        monkeypatch.setattr(morita, "scale", counting)
+        for text, bound in (("2*3^2*5", 40), ("2^inf*3", 30), ("rest^inf*7^2", 30)):
+            calls.clear()
+            values = enumerate_morita_class(AlgebraDescriptor(parse_steinitz(text)), bound)
+            assert len(calls) == len(values), text
