@@ -6,6 +6,11 @@ ascending, ``^1`` omitted, ``rest^d`` last and omitted when d = 0.
 
 Exit codes: 0 for success and YES-decisions, 1 for NO-decisions (including
 a verification report with failures), 2 for input and usage errors.
+
+Each command is one row of ``_COMMANDS``: help, arguments, a call that
+computes the result and one of five printers that map it to stdout and an
+exit code.  The calls reach library functions through this module's
+globals at run time, so a function replaced here is the one called.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .morita import (
 )
 from .primes import get_default_trial_bound, set_default_trial_bound
 from .supernatural import (
+    MAX_NUMBER_DIGITS,
     divides,
     format_steinitz,
     gcd,
@@ -39,109 +45,109 @@ from .supernatural import (
 from .tower import run_verification
 
 
-def _print_decision(flag: bool) -> int:
-    print("YES" if flag else "NO")
-    return 0 if flag else 1
+def _integer(text: str) -> int:
+    """An integer argument; more than MAX_NUMBER_DIGITS digits are refused unread."""
+    if sum(c.isdigit() for c in text) > MAX_NUMBER_DIGITS:
+        raise argparse.ArgumentTypeError(f"number longer than {MAX_NUMBER_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _cmd_parse(args) -> int:
-    print(format_steinitz(parse_steinitz(args.expr)))
-    return 0
-
-
-def _fold(args, op) -> int:
-    values = [parse_steinitz(t) for t in args.exprs]
-    print(format_steinitz(reduce(op, values)))
-    return 0
-
-
-def _cmd_mul(args) -> int:
-    return _fold(args, mul)
-
-
-def _cmd_lcm(args) -> int:
-    return _fold(args, lcm)
-
-
-def _cmd_gcd(args) -> int:
-    return _fold(args, gcd)
-
-
-def _cmd_divides(args) -> int:
-    return _print_decision(divides(parse_steinitz(args.left), parse_steinitz(args.right)))
-
-
-def _cmd_locally_finite(args) -> int:
-    return _print_decision(is_locally_finite(parse_steinitz(args.expr)))
-
-
-def _descriptors(args) -> tuple[AlgebraDescriptor, AlgebraDescriptor]:
-    return (
-        AlgebraDescriptor(parse_steinitz(args.left)),
-        AlgebraDescriptor(parse_steinitz(args.right)),
-    )
-
-
-def _cmd_iso(args) -> int:
-    return _print_decision(are_isomorphic(*_descriptors(args)))
-
-
-def _cmd_morita(args) -> int:
-    q = morita_ratio(*_descriptors(args))
-    if q is None:
-        print("NO")
-        return 1
-    print(f"YES ratio={q}")
-    return 0
-
-
-def _cmd_ratio(args) -> int:
-    q = morita_ratio(*_descriptors(args))
-    if q is None:
-        print("NO")
-        return 1
-    print(q)
-    return 0
-
-
-def _cmd_witness(args) -> int:
-    w = morita_witness(*_descriptors(args))
-    if w is None:
-        print("NO")
-        return 1
-    print(f"YES k={w.k} l={w.l} ratio={w.ratio}")
-    return 0
-
-
-def _cmd_corner(args) -> int:
-    result = corner(AlgebraDescriptor(parse_steinitz(args.expr)), args.rank)
-    print(format_steinitz(result.steinitz))
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    result = decompose_matrix_factor(AlgebraDescriptor(parse_steinitz(args.expr)), args.order)
-    print(format_steinitz(result.steinitz))
-    return 0
-
-
-def _cmd_enumerate(args) -> int:
-    # Members are printed as they are made, so the class is never held whole.
-    for value in _morita_class(AlgebraDescriptor(parse_steinitz(args.expr)), args.bound):
+# The five printers: each prints a result and returns the exit code.
+def _values(values) -> int:
+    """Canonical values, one per line, printed as they are made."""
+    for value in values:
         print(format_steinitz(value))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    result = proper_corner_compare(*_descriptors(args))
+def _decision(flag: bool) -> int:
+    print("YES" if flag else "NO")
+    return 0 if flag else 1
+
+
+def _optional(template: str):
+    """NO with exit 1 on None, else the result formatted into ``template``."""
+    def show(result) -> int:
+        print("NO" if result is None else template.format(result))
+        return int(result is None)
+    return show
+
+
+def _comparison(result: CornerComparison) -> int:
     print(result.value)
     return 1 if result is CornerComparison.INCOMPARABLE else 0
 
 
-def _cmd_verify(args) -> int:
-    report = run_verification(args.seed, max_order=args.max_order, trials=args.trials)
+def _report(report) -> int:
     print(report.render())
     return 0 if report.all_passed else 1
+
+
+def _one(args) -> AlgebraDescriptor:
+    return AlgebraDescriptor(parse_steinitz(args.expr))
+
+
+def _two(args) -> tuple:
+    return parse_steinitz(args.left), parse_steinitz(args.right)
+
+
+def _pair(args) -> list[AlgebraDescriptor]:
+    return [AlgebraDescriptor(s) for s in _two(args)]
+
+
+def _all(args) -> list:
+    return [parse_steinitz(t) for t in args.exprs]
+
+
+#: name -> (help, arguments, compute, printer), in the order --help lists them.
+_COMMANDS = {
+    "parse": ("canonicalize an expression", "expr",
+              lambda a: [parse_steinitz(a.expr)], _values),
+    "mul": ("product of expressions", "exprs",
+            lambda a: [reduce(mul, _all(a))], _values),
+    "lcm": ("least common multiple of expressions", "exprs",
+            lambda a: [reduce(lcm, _all(a))], _values),
+    "gcd": ("greatest common divisor of expressions", "exprs",
+            lambda a: [reduce(gcd, _all(a))], _values),
+    "divides": ("does the first expression divide the second?", "left right",
+                lambda a: divides(*_two(a)), _decision),
+    "locally-finite": ("is every exponent finite?", "expr",
+                       lambda a: is_locally_finite(parse_steinitz(a.expr)), _decision),
+    "iso": ("are the two descriptors isomorphic?", "left right",
+            lambda a: are_isomorphic(*_pair(a)), _decision),
+    "morita": ("are the two descriptors Morita equivalent?", "left right",
+               lambda a: morita_ratio(*_pair(a)), _optional("YES ratio={}")),
+    "ratio": ("connecting ratio st(RIGHT)/st(LEFT), if any", "left right",
+              lambda a: morita_ratio(*_pair(a)), _optional("{}")),
+    "witness": ("matrix orders k, l with k*st(LEFT) = l*st(RIGHT)", "left right",
+                lambda a: morita_witness(*_pair(a)),
+                _optional("YES k={0.k} l={0.l} ratio={0.ratio}")),
+    "compare": ("corner order of LEFT relative to RIGHT", "left right",
+                lambda a: proper_corner_compare(*_pair(a)), _comparison),
+    "corner": ("scale a descriptor by a relative rank in (0, 1]", "expr rank",
+               lambda a: [corner(_one(a), a.rank).steinitz], _values),
+    "decompose": ("split off a matrix factor of the given order", "expr order",
+                  lambda a: [decompose_matrix_factor(_one(a), a.order).steinitz], _values),
+    # The class is streamed from the generator, never held whole.
+    "enumerate": ("distinct Morita-class members up to a bound (at most 500)", "expr bound",
+                  lambda a: _morita_class(_one(a), a.bound), _values),
+    "verify": ("run the seeded matrix-tower verification suites", "--seed --max-order --trials",
+               lambda a: run_verification(a.seed, max_order=a.max_order, trials=a.trials), _report),
+}
+
+#: add_argument keywords for the arguments that need any.
+_ARGUMENTS = {
+    "exprs": dict(nargs="+", metavar="EXPR"),
+    "rank": dict(help="'m' or 'm/n' in (0, 1], e.g. 3/4"),
+    "order": dict(type=_integer),
+    "bound": dict(type=_integer),
+    "--seed": dict(type=_integer, required=True),
+    "--max-order": dict(type=_integer, default=96),
+    "--trials": dict(type=_integer, default=20),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,65 +157,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trial-bound",
-        type=int,
+        type=_integer,
         metavar="N",
         help="trial-division cap used when factoring natural-number inputs",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def cmd(name, handler, help_text):
+    for name, (help_text, names, compute, show) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("parse", _cmd_parse, "canonicalize an expression")
-    p.add_argument("expr")
-
-    for name, handler, help_text in (
-        ("mul", _cmd_mul, "product of expressions"),
-        ("lcm", _cmd_lcm, "least common multiple of expressions"),
-        ("gcd", _cmd_gcd, "greatest common divisor of expressions"),
-    ):
-        p = cmd(name, handler, help_text)
-        p.add_argument("exprs", nargs="+", metavar="EXPR")
-
-    p = cmd("divides", _cmd_divides, "does the first expression divide the second?")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = cmd("locally-finite", _cmd_locally_finite, "is every exponent finite?")
-    p.add_argument("expr")
-
-    for name, handler, help_text in (
-        ("iso", _cmd_iso, "are the two descriptors isomorphic?"),
-        ("morita", _cmd_morita, "are the two descriptors Morita equivalent?"),
-        ("ratio", _cmd_ratio, "connecting ratio st(RIGHT)/st(LEFT), if any"),
-        ("witness", _cmd_witness, "matrix orders k, l with k*st(LEFT) = l*st(RIGHT)"),
-        ("compare", _cmd_compare, "corner order of LEFT relative to RIGHT"),
-    ):
-        p = cmd(name, handler, help_text)
-        p.add_argument("left")
-        p.add_argument("right")
-
-    p = cmd("corner", _cmd_corner, "scale a descriptor by a relative rank in (0, 1]")
-    p.add_argument("expr")
-    p.add_argument("rank", help="'m' or 'm/n' in (0, 1], e.g. 3/4")
-
-    p = cmd("decompose", _cmd_decompose, "split off a matrix factor of the given order")
-    p.add_argument("expr")
-    p.add_argument("order", type=int)
-
-    p = cmd(
-        "enumerate", _cmd_enumerate, "distinct Morita-class members up to a bound (at most 500)"
-    )
-    p.add_argument("expr")
-    p.add_argument("bound", type=int)
-
-    p = cmd("verify", _cmd_verify, "run the seeded matrix-tower verification suites")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=96, dest="max_order")
-    p.add_argument("--trials", type=int, default=20)
-
+        p.set_defaults(compute=compute, show=show)
+        for arg in names.split():
+            p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
     return parser
 
 
@@ -225,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.trial_bound is not None:
             set_default_trial_bound(args.trial_bound)
-        return args.handler(args)
+        return args.show(args.compute(args))
     except SteinitzError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ class DenominatorDoesNotDivideError(SteinitzError):
 
 
 class RatioTooLargeError(SteinitzError):
-    """A connecting ratio would exceed the supported size (MAX_RATIO_BITS)."""
+    """A connecting ratio or an exact integer would exceed MAX_RATIO_BITS bits."""
 
 
 class NotADivisorError(SteinitzError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import prod
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DenominatorDoesNotDivideError,
@@ -280,8 +280,9 @@ def format_steinitz(s: SupernaturalNumber) -> str:
     return str(s)
 
 #: Largest bit-length bound accepted for the numerator or the denominator of
-#: a connecting ratio.  2**14000 has 4215 decimal digits, so every accepted
-#: ratio prints under CPython's default 4300-digit int-to-str limit.
+#: a connecting ratio, and for the integer is_natural returns.  2**14000 has
+#: 4215 decimal digits, so every accepted value prints under CPython's
+#: default 4300-digit int-to-str limit.
 MAX_RATIO_BITS = 14_000
 
 
@@ -347,10 +348,19 @@ def is_locally_finite(s: SupernaturalNumber) -> bool:
 
 
 def is_natural(s: SupernaturalNumber) -> int | None:
-    """The positive integer s denotes, or None if s is infinite."""
+    """The positive integer s denotes (built by _bounded_prod), or None if s is infinite."""
     if s.default_exp != 0 or not is_locally_finite(s):
         return None
-    return prod(p**e for p, e in s.exceptions)
+    return _bounded_prod(s.exceptions, "the natural number may need {} bits")
+
+
+def _bounded_prod(powers: Sequence[tuple[int, int]], need: str) -> int:
+    """prod(p**e) over powers; RatioTooLargeError, before any power is taken, when
+    its bit-length bound sum(e * bitlen(p)) exceeds MAX_RATIO_BITS (``need`` names it)."""
+    bits = sum(e * p.bit_length() for p, e in powers)
+    if bits > MAX_RATIO_BITS:
+        raise RatioTooLargeError(f"{need.format(bits)}, above the limit of {MAX_RATIO_BITS}")
+    return prod(p**e for p, e in powers)
 
 
 def rationally_connected(
@@ -361,10 +371,9 @@ def rationally_connected(
     Two representable Steinitz numbers are connected exactly when their
     default exponents agree and every prime where they differ carries a
     finite exponent on both sides; q is then the finite product of the
-    exponent differences.  Before any power is taken, the bit length of the
-    numerator and of the denominator is bounded by the sum of d * bitlen(p)
-    over its exponent gaps d; RatioTooLargeError is raised when either bound
-    exceeds MAX_RATIO_BITS.
+    exponent differences.  The numerator and the denominator are each built
+    by _bounded_prod, so RatioTooLargeError is raised before a power is taken
+    when either would exceed MAX_RATIO_BITS.
     """
     if s1.default_exp != s2.default_exp:
         return None
@@ -379,14 +388,8 @@ def rationally_connected(
             up.append((p, b - a))
         else:
             down.append((p, a - b))
-    for gaps in (up, down):
-        bits = sum(d * p.bit_length() for p, d in gaps)
-        if bits > MAX_RATIO_BITS:
-            raise RatioTooLargeError(
-                f"the connecting ratio may need {bits} bits in one term, "
-                f"above the limit of {MAX_RATIO_BITS}"
-            )
-    return Fraction(prod(p**d for p, d in up), prod(p**d for p, d in down))
+    need = "the connecting ratio may need {} bits in one term"
+    return Fraction(_bounded_prod(up, need), _bounded_prod(down, need))
 
 
 def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:

@@ -55,6 +55,8 @@ from .supernatural import (
 RANK_ORDER_CAP = 96
 #: Default cap on stage orders for fullness span computations (n**4 blowup).
 FULLNESS_ORDER_CAP = 6
+#: Most trials one verification run accepts: 500 take about 2 s at max order 96.
+MAX_TRIALS = 500
 
 _UNIMODULAR_ENTRY_BOUND = 3
 
@@ -450,21 +452,12 @@ def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> b
     n = e.stage_order
     if n > cap:
         raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {cap}")
-    ent = e.matrix.entries
-
-    def rows():
-        # E_ij e E_kl = e[j][k] E_il; the zero ones add nothing to the span.
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = ent[j][k]
-                    if v:
-                        for l in range(n):
-                            vec = [0] * (n * n)
-                            vec[i * n + l] = v
-                            yield vec
-
-    return len(_echelon(rows())[1]) == n * n
+    # E_ij e E_kl = e[j][k] E_il: for a fixed (i, l) these are parallel, so
+    # one row per (i, l), from any nonzero entry v of e, spans the same space.
+    v = next((x for row in e.matrix.entries for x in row if x), 0)
+    size = n * n
+    rows = [[0] * il + [v] + [0] * (size - il - 1) for il in range(size)] if v else []
+    return len(_echelon(rows)[1]) == size
 
 
 @dataclass(frozen=True)
@@ -682,6 +675,8 @@ def run_verification(
         raise InvalidArgumentError(f"max order must be at least 2, got {max_order}")
     if trials < 1:
         raise InvalidArgumentError(f"need at least one trial, got {trials}")
+    if trials > MAX_TRIALS:
+        raise InvalidArgumentError(f"need at most {MAX_TRIALS} trials, got {trials}")
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
     for t in range(trials):

@@ -324,6 +324,15 @@ _RANK_TEXTS = st.one_of(
 )
 
 
+# Counts far past their caps, as --trials and --trial-bound texts: at most
+# 1000 digits reach the library, which refuses them before any work.
+_HUGE_COUNTS = st.one_of(
+    st.integers(min_value=501, max_value=10**40).map(str),
+    st.integers(min_value=1001, max_value=6000).map("9".__mul__),
+    st.sampled_from((" 1000000000 ", "1_000_000_000", "+99999999999999")),
+)
+
+
 class TestArgvFuzz:
     @settings(max_examples=60)
     @given(st.sampled_from(("2^inf*5^inf", "rest^1", "3", "rest^inf")), _RANK_TEXTS)
@@ -340,6 +349,24 @@ class TestArgvFuzz:
             assert out.getvalue() == ""
         else:
             assert rank.strip() == "1/2", rank
+
+    @settings(max_examples=40, deadline=None)
+    @given(_HUGE_COUNTS)
+    def test_huge_counts_exit_two_in_bounded_time(self, count):
+        """verify --trials and --trial-bound far past their caps exit 2 at once."""
+        # Seven more zeros put every count above MAX_TRIAL_BOUND = 4194304.
+        for argv in (
+            ["verify", "--seed", "0", "--trials", count],
+            ["--trial-bound", count + "0" * 7, "decompose", "rest^1", "618970019642690137449562111"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert time.perf_counter() - start < 2.0, argv
+            assert code == 2, argv
+            assert out.getvalue() == ""
+            assert "error:" in err.getvalue()
 
     @settings(max_examples=200)
     @given(_ARGV, st.none() | st.integers(min_value=-2, max_value=100))
@@ -403,10 +430,10 @@ class TestErrorContract:
     def test_internal_errors_are_not_reported_as_input_errors(self, monkeypatch):
         """main maps only SteinitzError to exit 2; a bug raises through."""
 
-        def broken(args):
+        def broken(text):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "_cmd_parse", broken)
+        monkeypatch.setattr(cli, "parse_steinitz", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["parse", "2"])
 
@@ -556,6 +583,38 @@ class TestMainOutputs:
         assert main(["decompose", "rest^inf", "1022117"]) == 0
         assert capsys.readouterr().out.strip() == "rest^inf"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--seed", "0", "--trials", "1000000000"],
+             "error: need at most 500 trials, got 1000000000\n"),
+            # 2**89 - 1 is prime but above psi_12: only the bound limits the search.
+            (["--trial-bound", "1000000000000000000000000000000",
+              "decompose", "rest^1", "618970019642690137449562111"],
+             "error: trial bound must be at most 4194304, got a 100-bit number\n"),
+            (["decompose", "rest^1", "9" * 4000],
+             "argument order: number longer than 1000 digits\n"),
+        ],
+    )
+    def test_counts_past_their_caps_exit_two(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(message)
+
+    def test_integer_argument_at_the_digit_cap(self, capsys):
+        power = str(10 ** (MAX_NUMBER_DIGITS - 1))
+        assert len(power) == MAX_NUMBER_DIGITS
+        assert main(["decompose", "2^inf*5^inf", power]) == 0
+        assert main(["--trial-bound", "4194304", "decompose", "2^inf*5^inf", power]) == 0
+        assert capsys.readouterr().out == "2^inf*5^inf\n" * 2
+        assert main(["decompose", "2^inf*5^inf", power + "0"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument order: number longer than {MAX_NUMBER_DIGITS} digits\n"
+        )
+
     def test_trial_bound_does_not_leak(self, capsys):
         from steinitz.primes import get_default_trial_bound
 
@@ -563,3 +622,117 @@ class TestMainOutputs:
         main(["--trial-bound", "100", "parse", "2"])
         capsys.readouterr()
         assert get_default_trial_bound() == before
+
+
+_HUGE = "9" * 5000
+
+# Every command on its YES, NO and error paths, every --help, usage errors
+# and --trial-bound.  Each entry is (argv, exit code, the first 16 hex digits
+# of the sha256 of stdout, and of stderr), recorded before the command table
+# replaced the per-command handlers.  Only the three stderr digests marked
+# below changed since, when integer arguments were capped at 1000 digits.
+CLI_PINNED = [
+    ([], 2, "e3b0c44298fc1c14", "65be3faf8841bbf0"),
+    (["--help"], 0, "01ad45c10d1cbbab", "e3b0c44298fc1c14"),
+    (["parse", "--help"], 0, "16e2346ed2f0e84f", "e3b0c44298fc1c14"),
+    (["mul", "--help"], 0, "d2bde68997111dab", "e3b0c44298fc1c14"),
+    (["lcm", "--help"], 0, "3e61dc6df6d07ff6", "e3b0c44298fc1c14"),
+    (["gcd", "--help"], 0, "b6124193dd4d123d", "e3b0c44298fc1c14"),
+    (["divides", "--help"], 0, "b7256db6f9313678", "e3b0c44298fc1c14"),
+    (["locally-finite", "--help"], 0, "52f05147a5465666", "e3b0c44298fc1c14"),
+    (["iso", "--help"], 0, "2b533c782000a792", "e3b0c44298fc1c14"),
+    (["morita", "--help"], 0, "e2e82d254be2bb98", "e3b0c44298fc1c14"),
+    (["ratio", "--help"], 0, "d909cf683100bce1", "e3b0c44298fc1c14"),
+    (["witness", "--help"], 0, "779922a99a7dba8a", "e3b0c44298fc1c14"),
+    (["compare", "--help"], 0, "ff6f2f0540e321aa", "e3b0c44298fc1c14"),
+    (["corner", "--help"], 0, "1b08203c449bf115", "e3b0c44298fc1c14"),
+    (["decompose", "--help"], 0, "5c92272cc3bc094c", "e3b0c44298fc1c14"),
+    (["enumerate", "--help"], 0, "a1b344107b51c785", "e3b0c44298fc1c14"),
+    (["verify", "--help"], 0, "53c6bd455b920fbc", "e3b0c44298fc1c14"),
+    (["not-a-command"], 2, "e3b0c44298fc1c14", "884e25d8eb348e0c"),
+    (["parse"], 2, "e3b0c44298fc1c14", "2609607f42bf717e"),
+    (["parse", "2", "3"], 2, "e3b0c44298fc1c14", "e6599546d1f25f95"),
+    (["mul"], 2, "e3b0c44298fc1c14", "7c49259ceb60cca2"),
+    (["divides", "2"], 2, "e3b0c44298fc1c14", "ce4a7176bb9287bf"),
+    (["verify"], 2, "e3b0c44298fc1c14", "f8b30425e6e735f2"),
+    (["verify", "--seed", "x"], 2, "e3b0c44298fc1c14", "be4ff409cd51cb6d"),
+    (["parse", "3 * 2^inf"], 0, "cc0079442d625ad9", "e3b0c44298fc1c14"),
+    (["parse", "4^2"], 2, "e3b0c44298fc1c14", "53947640a4beb486"),
+    (["parse", "2*@"], 2, "e3b0c44298fc1c14", "8ab02aa3142b1e92"),
+    (["parse", "318665857834031151167461^2"], 2, "e3b0c44298fc1c14", "66e20d1d38d3229d"),
+    (["mul", "2^3", "2^inf*5", "rest^1"], 0, "88f3264ba4e14b75", "e3b0c44298fc1c14"),
+    (["lcm", "2^3*5", "2^5"], 0, "bd780bd4543b9a9c", "e3b0c44298fc1c14"),
+    (["gcd", "2^3*5", "2^5", "rest^inf"], 0, "36b11a262caaddb6", "e3b0c44298fc1c14"),
+    (["mul", "2", "junk!", "4"], 2, "e3b0c44298fc1c14", "8b8a13507f7e46b7"),
+    (["divides", "2^2", "2^inf"], 0, "a115e91c2e84c307", "e3b0c44298fc1c14"),
+    (["divides", "2^inf", "2^2"], 1, "cfe72034a9f298fb", "e3b0c44298fc1c14"),
+    (["divides", "4", "2"], 2, "e3b0c44298fc1c14", "53947640a4beb486"),
+    (["locally-finite", "2^5*3"], 0, "a115e91c2e84c307", "e3b0c44298fc1c14"),
+    (["locally-finite", "rest^inf"], 1, "cfe72034a9f298fb", "e3b0c44298fc1c14"),
+    (["locally-finite", "rest"], 2, "e3b0c44298fc1c14", "aadcea3ca820c274"),
+    (["iso", "2^inf", "2^inf"], 0, "a115e91c2e84c307", "e3b0c44298fc1c14"),
+    (["iso", "2^inf", "3^inf"], 1, "cfe72034a9f298fb", "e3b0c44298fc1c14"),
+    (["iso", "2^inf", "6"], 2, "e3b0c44298fc1c14", "f7f37bbc2ca2e597"),
+    (["morita", "3*2^inf", "5*2^inf"], 0, "c393ca50e81caf9d", "e3b0c44298fc1c14"),
+    (["morita", "2^inf", "2^inf*3^0"], 0, "6cf829d2435e1548", "e3b0c44298fc1c14"),
+    (["morita", "2^inf", "3^inf"], 1, "cfe72034a9f298fb", "e3b0c44298fc1c14"),
+    (["morita", "2^x", "3"], 2, "e3b0c44298fc1c14", "1d5eee120a31e124"),
+    (["ratio", "3*2^inf", "5*2^inf"], 0, "6947cfc8acbd5aa4", "e3b0c44298fc1c14"),
+    (["ratio", "2^inf", "3^inf"], 1, "cfe72034a9f298fb", "e3b0c44298fc1c14"),
+    (["ratio", "2^5000", "3^5000"], 0, "eae753f29f54d976", "e3b0c44298fc1c14"),
+    (["ratio", "2^99999999999", "3^99999999999"], 2, "e3b0c44298fc1c14", "868dcc98e6659e97"),
+    (["witness", "2*3", "5*7"], 0, "a9a9760febd6c44e", "e3b0c44298fc1c14"),
+    (["witness", "rest^1", "rest^2"], 1, "cfe72034a9f298fb", "e3b0c44298fc1c14"),
+    (["witness", "2^100000", "3^100000"], 2, "e3b0c44298fc1c14", "146183b517c2af40"),
+    (["compare", "2", "2^3"], 0, "587680b9b6e2b196", "e3b0c44298fc1c14"),
+    (["compare", "2^3", "2"], 0, "827b120cffa7e9bd", "e3b0c44298fc1c14"),
+    (["compare", "2^inf", "2^inf*3"], 0, "587680b9b6e2b196", "e3b0c44298fc1c14"),
+    (["compare", "2", "2"], 0, "66d44786dc9344c8", "e3b0c44298fc1c14"),
+    (["compare", "2^inf", "3^inf"], 1, "c3f20f460d3d1600", "e3b0c44298fc1c14"),
+    (["compare", "2", "rest^1*rest^2"], 2, "e3b0c44298fc1c14", "f676c3679617c7d4"),
+    (["corner", "2^inf", "3/4"], 0, "cc0079442d625ad9", "e3b0c44298fc1c14"),
+    (["corner", "3", "0"], 2, "e3b0c44298fc1c14", "a861b519786a8ba8"),
+    (["corner", "6", "1/4"], 2, "e3b0c44298fc1c14", "f7f37bbc2ca2e597"),
+    (["corner", "3", "x"], 2, "e3b0c44298fc1c14", "15cb7cdfc790a389"),
+    (["decompose", "2^inf*3", "6"], 0, "b3c412523714f979", "e3b0c44298fc1c14"),
+    (["decompose", "2^2", "3"], 2, "e3b0c44298fc1c14", "d4586841563b10f4"),
+    (["decompose", "2", "0"], 2, "e3b0c44298fc1c14", "e81c0b1a2854d04b"),
+    (["decompose", "2", "-3"], 2, "e3b0c44298fc1c14", "891e4a1be64e99c1"),
+    (["decompose", "2", "x"], 2, "e3b0c44298fc1c14", "d777b016fa4d2f6f"),
+    # stderr: "argument order: number longer than 1000 digits".
+    (["decompose", "rest^1", _HUGE], 2, "e3b0c44298fc1c14", "e17a0b668116e61d"),
+    (["decompose", "rest^1", "318665857834031151167461"], 2, "e3b0c44298fc1c14", "66e20d1d38d3229d"),
+    (["enumerate", "2*3^2*5", "20"], 0, "0016734f0ef789dd", "e3b0c44298fc1c14"),
+    (["enumerate", "2", "0"], 2, "e3b0c44298fc1c14", "e8ad108b06308f73"),
+    (["enumerate", "1", "3000"], 2, "e3b0c44298fc1c14", "fa9afad76c1bf55c"),
+    # stderr: "argument bound: number longer than 1000 digits".
+    (["enumerate", "1", "9" * 2000], 2, "e3b0c44298fc1c14", "372b821fa386b4bd"),
+    (["enumerate", "1", "2.5"], 2, "e3b0c44298fc1c14", "5a6094aea85e21e8"),
+    (["verify", "--seed", "3", "--trials", "5"], 0, "ced7a7d313aea4fe", "e3b0c44298fc1c14"),
+    (["verify", "--seed", "1", "--trials", "0"], 2, "e3b0c44298fc1c14", "5a8e3dae58d9bb8c"),
+    (["verify", "--seed", "1", "--max-order", "1"], 2, "e3b0c44298fc1c14", "dd1e930a68d8906c"),
+    (["verify", "--seed", "1", "--trials", "x"], 2, "e3b0c44298fc1c14", "a43bc299aa112bd3"),
+    (["--trial-bound", "100", "decompose", "rest^inf", "1022117"], 2, "e3b0c44298fc1c14", "b45a9793685fff82"),
+    (["--trial-bound", "2000", "decompose", "rest^inf", "1022117"], 0, "4bc4e94de9ba0e12", "e3b0c44298fc1c14"),
+    (["--trial-bound", "1", "parse", "2"], 2, "e3b0c44298fc1c14", "8f5b572d7f707aa0"),
+    (["--trial-bound", "x", "parse", "2"], 2, "e3b0c44298fc1c14", "69e4d01a70c53032"),
+    # stderr: "argument --trial-bound: number longer than 1000 digits".
+    (["--trial-bound", _HUGE, "parse", "2"], 2, "e3b0c44298fc1c14", "98385295d16b86fd"),
+]
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_sha, err_sha",
+    CLI_PINNED,
+    ids=[f"{i:02d}-" + " ".join(a)[:40] for i, (a, *_) in enumerate(CLI_PINNED)],
+)
+def test_cli_text_pinned(monkeypatch, capsys, argv, code, out_sha, err_sha):
+    """stdout, stderr and exit codes as they were before the command table."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (_sha16(captured.out), _sha16(captured.err)) == (out_sha, err_sha)

@@ -111,6 +111,25 @@ def test_factorize_rejects_tiny_bound():
         factorize(6, trial_bound=1)
 
 
+def test_trial_bound_ceiling_and_type():
+    """One check serves factorize and set_default_trial_bound."""
+    top = primes.MAX_TRIAL_BOUND
+    assert factorize(1009 * 1013, trial_bound=top) == {1009: 1, 1013: 1}
+    old = get_default_trial_bound()
+    try:
+        set_default_trial_bound(top)
+        assert get_default_trial_bound() == top
+        for bad in (top + 1, 10**30, True, 2.5, "100", None):
+            with pytest.raises(InvalidArgumentError, match="trial bound"):
+                set_default_trial_bound(bad)
+            assert get_default_trial_bound() == top
+        for bad in (top + 1, 10**30, True, 2.5, "100"):
+            with pytest.raises(InvalidArgumentError, match="trial bound"):
+                factorize(6, trial_bound=bad)
+    finally:
+        set_default_trial_bound(old)
+
+
 def test_default_trial_bound_roundtrip():
     old = get_default_trial_bound()
     try:

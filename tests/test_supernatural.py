@@ -267,6 +267,18 @@ class TestFinitenessPredicates:
         assert is_natural(SupernaturalNumber(0, {2: INF})) is None
         assert is_natural(SupernaturalNumber(1)) is None
 
+    def test_is_natural_bounds_the_product_before_building_it(self):
+        # 2**(10**1000 - 1) would never finish; the bit bound refuses it first.
+        with pytest.raises(RatioTooLargeError, match="may need"):
+            is_natural(SupernaturalNumber(0, {2: int("9" * 1000)}))
+        # The bound is sum(e * bitlen(p)) = 2 * e for p = 2: 7000 sits on the cap.
+        assert is_natural(SupernaturalNumber(0, {2: 7000})) == 2**7000
+        with pytest.raises(RatioTooLargeError):
+            is_natural(SupernaturalNumber(0, {2: 7001}))
+        assert is_natural(SupernaturalNumber(0, {2: 3000, 3: 4000})) == 2**3000 * 3**4000
+        with pytest.raises(RatioTooLargeError):
+            is_natural(SupernaturalNumber(0, {2: 3000, 3: 4001}))
+
 
 class TestRationalConnectedness:
     @given(naturals, naturals)

@@ -11,6 +11,7 @@ from steinitz import (
     INF,
     DenominatorDoesNotDivideError,
     IdempotentElement,
+    InvalidArgumentError,
     MatrixStage,
     NotADivisorError,
     SpanCapExceededError,
@@ -409,6 +410,42 @@ class TestCornerSpanAndFullness:
         assert is_full_idempotent(e, cap=7)
 
 
+class TestFullnessRows:
+    @staticmethod
+    def old_rows(e):
+        """Every nonzero E_ij e E_kl = e[j][k] E_il, the n**4 spanning set."""
+        n, ent = e.stage_order, e.matrix.entries
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        if ent[j][k]:
+                            vec = [0] * (n * n)
+                            vec[i * n + l] = ent[j][k]
+                            rows.append(vec)
+        return rows
+
+    def test_one_row_per_entry_position(self, monkeypatch):
+        sizes = []
+        echelon = tower._echelon
+
+        def counting(rows, *args, **kwargs):
+            rows = list(rows)
+            sizes.append(len(rows))
+            return echelon(rows, *args, **kwargs)
+
+        monkeypatch.setattr(tower, "_echelon", counting)
+        rng = random.Random(8080)
+        for n in range(1, 7):
+            for r in range(0, n + 1):
+                e = random_idempotent(n, r, rng.randrange(2**32))
+                sizes.clear()
+                full = is_full_idempotent(e)
+                assert sizes == [n * n if r else 0], (n, r)
+                assert full == (gauss_rank(self.old_rows(e)) == n * n), (n, r)
+
+
 class TestTower:
     def test_multiplicities(self):
         t = Tower((4, 8, 24))
@@ -553,6 +590,11 @@ class TestRunVerification:
             run_verification(seed=0, trials=0)
         with pytest.raises(ValueError):
             run_verification(seed=0, max_order=1)
+
+    def test_trials_are_capped(self):
+        with pytest.raises(InvalidArgumentError, match="at most 500 trials"):
+            run_verification(seed=0, trials=tower.MAX_TRIALS + 1)
+        assert run_verification(seed=0, max_order=2, trials=tower.MAX_TRIALS).all_passed
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
