@@ -1,10 +1,33 @@
-"""Exception types shared across the package, and the positive-integer guard."""
+"""Exception types shared across the package, how a message shows a value, the int guard."""
+
+from fractions import Fraction
+
+#: Longest number, in digits, that the expression text may contain.  Every exponent it
+#: accepts then prints in at most 1000 digits, and so does a sum of argv-many of them (the
+#: ``mul`` command; argv holds far fewer than 10**7 terms, which add at most 7 digits),
+#: all under CPython's 4300-digit int-to-str limit.  Error messages show an int up to it.
+MAX_NUMBER_DIGITS = 1000
+
+
+def _shown(x) -> str:
+    """A value the caller supplied, as an error message shows it: str for numbers, else repr.
+
+    An int of more than MAX_NUMBER_DIGITS digits, alone or in a Fraction, is
+    shown by its bit length: printing it could pass CPython's int-to-str
+    limit, which raises a ValueError in place of the message.
+    """
+    if isinstance(x, Fraction):
+        return _shown(x.numerator) + (f"/{_shown(x.denominator)}" if x.denominator > 1 else "")
+    if isinstance(x, int) and abs(x) >= 10**MAX_NUMBER_DIGITS:
+        return f"a {'negative ' * (x < 0)}{x.bit_length()}-bit number"
+    return repr(x)
 
 
 def _check_positive_int(x, what: str) -> None:
     """Raise InvalidArgumentError unless x is an int (not a bool) of at least 1."""
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        raise InvalidArgumentError(f"{what} must be a positive integer, got {x!r}")
+        got = _shown(x) if isinstance(x, int) else repr(x)  # repr tells Fraction(2, 1) from 2
+        raise InvalidArgumentError(f"{what} must be a positive integer, got {got}")
 
 
 class SteinitzError(Exception):

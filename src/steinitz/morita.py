@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     NotADivisorError,
     _check_positive_int,
+    _shown,
 )
 from .primes import factorize
 from .supernatural import (
@@ -144,7 +145,7 @@ def decompose_matrix_factor(a: AlgebraDescriptor, n: int) -> AlgebraDescriptor:
     try:
         return AlgebraDescriptor(scale(a.steinitz, Fraction(1, n)))
     except DenominatorDoesNotDivideError:
-        raise NotADivisorError(f"{n} does not divide {a.steinitz}") from None
+        raise NotADivisorError(f"{_shown(n)} does not divide {a.steinitz}") from None
 
 
 def enumerate_morita_class(
@@ -172,7 +173,7 @@ def _morita_class(a: AlgebraDescriptor, bound: int) -> Iterator[SupernaturalNumb
     _check_positive_int(bound, "bound")
     if bound > MAX_ENUMERATE_BOUND:
         raise InvalidArgumentError(
-            f"bound must be at most {MAX_ENUMERATE_BOUND}, got {bound}"
+            f"bound must be at most {MAX_ENUMERATE_BOUND}, got {_shown(bound)}"
         )
     s = a.steinitz
     listed = dict(s.exceptions)

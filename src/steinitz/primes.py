@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .errors import FactorizationError, InvalidArgumentError, _check_positive_int
+from .errors import FactorizationError, InvalidArgumentError, _check_positive_int, _shown
 
 #: Largest trial divisor attempted when the caller does not override it.
 DEFAULT_TRIAL_BOUND = 1 << 20
@@ -61,7 +61,7 @@ def _check_trial_bound(bound) -> None:
     if isinstance(bound, bool) or not isinstance(bound, int):
         raise InvalidArgumentError(f"trial bound must be an integer, got {bound!r}")
     if bound < 2:
-        raise InvalidArgumentError(f"trial bound must be at least 2, got {bound}")
+        raise InvalidArgumentError(f"trial bound must be at least 2, got {_shown(bound)}")
     if bound > MAX_TRIAL_BOUND:
         raise InvalidArgumentError(
             f"trial bound must be at most {MAX_TRIAL_BOUND}, got a {bound.bit_length()}-bit number"

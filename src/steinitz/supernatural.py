@@ -26,6 +26,7 @@ from math import prod
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
+    MAX_NUMBER_DIGITS,
     DenominatorDoesNotDivideError,
     DuplicatePrimeError,
     DuplicateRestError,
@@ -34,6 +35,7 @@ from .errors import (
     RatioTooLargeError,
     SteinitzSyntaxError,
     _check_positive_int,
+    _shown,
 )
 from .primes import factorize, is_prime
 
@@ -89,7 +91,7 @@ def _check_exponent(e, what: str) -> None:
     if isinstance(e, bool) or not isinstance(e, int):
         raise TypeError(f"{what} must be a nonnegative int or INF, got {e!r}")
     if e < 0:
-        raise ValueError(f"{what} must be nonnegative, got {e}")
+        raise InvalidArgumentError(f"{what} must be nonnegative, got {_shown(e)}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class SupernaturalNumber:
                 raise NotPrimeError(f"exception key {p!r} is not prime")
             _check_exponent(e, f"exponent of {p}")
             if p in seen:
-                raise ValueError(f"duplicate prime {p} in exceptions")
+                raise InvalidArgumentError(f"duplicate prime {p} in exceptions")
             seen[p] = e
         canonical = [(p, e) for p, e in sorted(seen.items()) if e != self.default_exp]
         object.__setattr__(self, "exceptions", tuple(canonical))
@@ -149,13 +151,6 @@ class SupernaturalNumber:
 
 #: The empty product.
 ONE = SupernaturalNumber()
-
-#: Longest number, in digits, that the expression text may contain.  Every
-#: exponent it accepts then prints in at most 1000 digits, and so does a sum
-#: of argv-many of them (the ``mul`` command; argv holds far fewer than 10**7
-#: terms, which add at most 7 digits), all under CPython's 4300-digit
-#: int-to-str limit.
-MAX_NUMBER_DIGITS = 1000
 
 # One token per match: a number, a word, '*' or '^' in group 1, or any other
 # non-space character in group 2.
@@ -269,9 +264,9 @@ def read_rational(
     else:
         raise TypeError(f"{what} must be exact (int, Fraction or 'm/n' text), got {q!r}")
     if at_most_one and not 0 < value <= 1:
-        raise InvalidArgumentError(f"{what} must lie in (0, 1], got {value}")
+        raise InvalidArgumentError(f"{what} must lie in (0, 1], got {_shown(value)}")
     if value <= 0:
-        raise InvalidArgumentError(f"{what} must be positive, got {value}")
+        raise InvalidArgumentError(f"{what} must be positive, got {_shown(value)}")
     return value
 
 
@@ -342,9 +337,7 @@ def divides(s: SupernaturalNumber, t: SupernaturalNumber) -> bool:
 
 def is_locally_finite(s: SupernaturalNumber) -> bool:
     """True iff no exponent (default or exception) is infinite."""
-    if is_infinite(s.default_exp):
-        return False
-    return not any(is_infinite(e) for _, e in s.exceptions)
+    return not is_infinite(s.default_exp) and not any(is_infinite(e) for _, e in s.exceptions)
 
 
 def is_natural(s: SupernaturalNumber) -> int | None:
@@ -414,7 +407,7 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
             continue
         if e + delta < 0:
             raise DenominatorDoesNotDivideError(
-                f"prime {p}: exponent {e} cannot absorb {delta} (q={q})"
+                f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
             )
         exc[p] = e + delta
     return SupernaturalNumber(s.default_exp, exc)

@@ -13,7 +13,7 @@ kept tuples raised the resident memory of verify runs.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
-pivot columns, and inverses come from its reduced form of [m | I].  The
+pivot columns, and their inverses its reduced rows (e = B C, C B = I).  The
 verification entry points push an idempotent up a tower and compare the
 observed corner data against the symbolic rank/corner laws, producing a
 line-oriented report (``PASS|FAIL <check> stage=<n> expected=<v> got=<v>``)
@@ -29,7 +29,7 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,6 +39,7 @@ from .errors import (
     SpanCapExceededError,
     ZeroIdempotentError,
     _check_positive_int,
+    _shown,
 )
 from .supernatural import (
     INF,
@@ -75,7 +76,7 @@ class MatrixStage:
         rows = tuple([tuple(row) for row in self.entries])
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square and nonempty")
+            raise InvalidArgumentError("matrix must be square and nonempty")
         for row in rows:
             for x in row:
                 if not _is_exact(x):
@@ -97,16 +98,14 @@ class MatrixStage:
     @classmethod
     def diagonal(cls, values: Sequence) -> MatrixStage:
         n = len(values)
-        rows = [[0] * n for _ in range(n)]
-        for i, v in enumerate(values):
-            rows[i][i] = v
-        return cls(rows)
+        return cls([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
 
     @classmethod
     def rank_projector(cls, n: int, r: int) -> MatrixStage:
         """diag(1, .., 1, 0, .., 0) with r ones."""
         if not 0 <= r <= n:
-            raise ValueError(f"projector rank must satisfy 0 <= r <= n, got r={r}, n={n}")
+            got = f"got r={_shown(r)}, n={_shown(n)}"
+            raise InvalidArgumentError(f"projector rank must satisfy 0 <= r <= n, {got}")
         return cls.diagonal([1] * r + [0] * (n - r))
 
     def trace(self) -> int | Fraction:
@@ -116,7 +115,7 @@ class MatrixStage:
         if not isinstance(other, MatrixStage):
             return NotImplemented
         if self.order != other.order:
-            raise ValueError(f"order mismatch in matrix {what}")
+            raise InvalidArgumentError(f"order mismatch in matrix {what}")
         return MatrixStage(
             [list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]
         )
@@ -130,30 +129,27 @@ class MatrixStage:
     def __mul__(self, other):
         if isinstance(other, MatrixStage):
             if self.order != other.order:
-                raise ValueError("order mismatch in matrix product")
+                raise InvalidArgumentError("order mismatch in matrix product")
             return MatrixStage(_matmul_rows(self.entries, other.entries))
         if _is_exact(other):
             return MatrixStage([[x * other for x in row] for row in self.entries])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if _is_exact(other):
-            return self * other
-        return NotImplemented
+    # A scalar on the left: exact scalars commute with every entry.
+    __rmul__ = __mul__
 
 
 def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Row-list matrix product, skipping zero entries (helps block matrices)."""
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            aik = arow[k]
+    """Row-list product of an m x k and a k x n factor, skipping zero entries.
+
+    Skipping zeros helps block matrices; an entry no product reaches stays int 0.
+    """
+    n = len(b[0])
+    out = [[0] * n for _ in range(len(a))]
+    for arow, orow in zip(a, out):
+        for aik, brow in zip(arow, b):
             if not aik:
                 continue
-            brow = b[k]
             for j in range(n):
                 bkj = brow[j]
                 if bkj:
@@ -198,9 +194,9 @@ def _echelon(
     diagonal (its entries need not be 1).
 
     Stored rows are exact-size lists (slices and concatenations, divided in
-    place), not over-allocated comprehension results: for [m | I] at order
-    32 those pass CPython's 512-byte small-object limit, and kept for the
-    whole elimination they raised the peak resident size of corner maps.
+    place), not over-allocated comprehension results: the spare capacity of
+    wide rows, kept for the whole elimination, raised the peak resident size
+    of corner maps.
 
     Returns the nonzero echelon rows, one per pivot, and the pivot columns in
     increasing order: their number is the rank, and they index the first
@@ -299,9 +295,9 @@ class IdempotentElement:
 
     def __post_init__(self):
         if self.matrix * self.matrix != self.matrix:
-            raise ValueError("matrix is not idempotent")
+            raise InvalidArgumentError("matrix is not idempotent")
         if not 0 <= self.rank <= self.stage_order:
-            raise ValueError("rank out of range")
+            raise InvalidArgumentError("rank out of range")
 
     @property
     def stage_order(self) -> int:
@@ -316,8 +312,8 @@ class IdempotentElement:
         return cls(matrix, exact_rank(matrix))
 
 
-def _unimodular(n: int, rng: random.Random):
-    """Seeded integer matrix with det +-1, entries in [-3, 3], plus inverse.
+def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows of a seeded integer matrix with det +-1, entries in [-3, 3], and of its inverse.
 
     Built from elementary shears and sign-swaps, each applied only when the
     entry bound survives, with the inverse tracked by the matching column
@@ -342,26 +338,24 @@ def _unimodular(n: int, rng: random.Random):
                     mat[j] = new_row
                     for row in inv:
                         row[i] -= c * row[j]
-    p = MatrixStage(mat)
-    p_inv = MatrixStage(inv)
-    if p * p_inv != MatrixStage.identity(n):
+    if _matmul_rows(mat, inv) != [[int(i == j) for j in range(n)] for i in range(n)]:
         raise RuntimeError("unimodular bookkeeping failed")
-    return p, p_inv
+    return mat, inv
 
 
 def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     """Seeded random idempotent of exact rank r in M_n.
 
-    Conjugates diag(1,..,1,0,..,0) by a seeded unimodular integer matrix,
-    so the result is exactly idempotent with integer entries and is
-    reproducible per seed.
+    Conjugates diag(1,..,1,0,..,0) by a seeded unimodular integer matrix P,
+    as the one product P[:, :r] P^-1[:r, :], so the result is exactly
+    idempotent with integer entries and is reproducible per seed.
     """
     _check_positive_int(n, "order")
     if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
-        raise ValueError(f"rank must satisfy 0 <= r <= {n}, got {r!r}")
-    rng = random.Random(seed)
-    p, p_inv = _unimodular(n, rng)
-    e = p * MatrixStage.rank_projector(n, r) * p_inv
+        got = _shown(r) if isinstance(r, int) else repr(r)
+        raise InvalidArgumentError(f"rank must satisfy 0 <= r <= {_shown(n)}, got {got}")
+    p, p_inv = _unimodular(n, random.Random(seed))
+    e = MatrixStage(_matmul_rows([row[:r] for row in p], p_inv[:r])) if r else MatrixStage.zero(n)
     return IdempotentElement(e, r)
 
 
@@ -369,9 +363,9 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
 class CornerIsomorphism:
     """Explicit isomorphism data between e M_n e and M_r.
 
-    ``to_diagonal`` conjugates e to diag(1,..,1,0,..,0); ``apply`` sends a
-    corner element to its leading r x r block in that basis, ``lift`` is
-    the inverse map.
+    ``to_diagonal`` conjugates e to diag(1,..,1,0,..,0).  Its first r rows C and
+    the first r columns B of ``from_diagonal`` factor e = B C with C B = I_r, so
+    ``apply`` is x -> C x B (x's leading r x r block) and ``lift`` is y -> B y C.
     """
 
     rank: int
@@ -384,18 +378,19 @@ class CornerIsomorphism:
 
     def apply(self, x: MatrixStage) -> MatrixStage:
         if x.order != self.order:
-            raise ValueError("element order does not match the stage order")
-        y = self.to_diagonal * x * self.from_diagonal
-        r = self.rank
-        return MatrixStage([row[:r] for row in y.entries[:r]])
+            raise InvalidArgumentError("element order does not match the stage order")
+        cx = _matmul_rows(self.to_diagonal.entries[: self.rank], x.entries)
+        return MatrixStage(_matmul_rows(cx, self._columns()))
 
     def lift(self, y: MatrixStage) -> MatrixStage:
         if y.order != self.rank:
-            raise ValueError("element order does not match the corner rank")
-        n, r = self.order, self.rank
-        pad = [0] * (n - r)
-        padded = MatrixStage([list(row) + pad for row in y.entries] + [[0] * n] * (n - r))
-        return self.from_diagonal * padded * self.to_diagonal
+            raise InvalidArgumentError("element order does not match the corner rank")
+        by = _matmul_rows(self._columns(), y.entries)
+        return MatrixStage(_matmul_rows(by, self.to_diagonal.entries[: self.rank]))
+
+    def _columns(self) -> list[list]:
+        """B, the first r columns of ``from_diagonal``, as lists: tuple slices raised peak RSS."""
+        return [list(islice(row, self.rank)) for row in self.from_diagonal.entries]
 
 
 def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
@@ -404,30 +399,27 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     The image columns of e and the image columns of 1-e together form a
     basis; in that basis e becomes diag(1,..,1,0,..,0) and cutting the
     leading r x r block is an algebra isomorphism e M_n e -> M_r.
+
+    The same eliminations give the inverse.  A row of C, e's reduced echelon
+    rows over their pivots, combines rows of e, so C e = C; with e B = B for
+    e's pivot columns B, C B = I_r and C (1 - e) = 0.  Likewise for 1 - e and
+    its own C, so the two stacked are the inverse of the basis.
     """
     if e.rank == 0:
         raise ZeroIdempotentError("the zero idempotent cuts out the zero corner")
     n, r = e.stage_order, e.rank
-    ident = MatrixStage.identity(n)
-    ent, comp = e.matrix.entries, (ident - e.matrix).entries
+    ent, comp = e.matrix.entries, (MatrixStage.identity(n) - e.matrix).entries
     # The pivot columns of an echelon form are the first maximal
     # independent set of columns.
-    image = _echelon(ent)[1]
-    complement = _echelon(comp)[1]
+    rows, image = _echelon(ent, reduced=True)
+    crows, complement = _echelon(comp, reduced=True)
     if len(image) != r or len(complement) != n - r:
         raise RuntimeError("idempotent splitting produced unexpected dimensions")
     basis = MatrixStage(
         [[row[j] for j in image] + [crow[j] for j in complement] for row, crow in zip(ent, comp)]
     )
-    # Reduced echelon form of [basis | I] is [D | D * basis^-1], D diagonal.
-    rows, pivots = _echelon(
-        (row + irow for row, irow in zip(basis.entries, ident.entries)), reduced=True
-    )
-    if pivots[-1] >= n:
-        raise ValueError("matrix is singular")
-    to_diag = MatrixStage(
-        [[Fraction(x, row[i]) if x else 0 for x in row[n:]] for i, row in enumerate(rows)]
-    )
+    pivoted = zip(rows + crows, image + complement)
+    to_diag = MatrixStage([[Fraction(x, row[c]) if x else 0 for x in row] for row, c in pivoted])
     if to_diag * e.matrix * basis != MatrixStage.rank_projector(n, r):
         raise RuntimeError("change of basis failed to diagonalize the idempotent")
     return CornerIsomorphism(rank=r, to_diagonal=to_diag, from_diagonal=basis)
@@ -451,7 +443,7 @@ def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> b
     """
     n = e.stage_order
     if n > cap:
-        raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {cap}")
+        raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {_shown(cap)}")
     # E_ij e E_kl = e[j][k] E_il: for a fixed (i, l) these are parallel, so
     # one row per (i, l), from any nonzero entry v of e, spans the same space.
     v = next((x for row in e.matrix.entries for x in row if x), 0)
@@ -469,12 +461,13 @@ class Tower:
     def __post_init__(self):
         orders = tuple(self.orders)
         if not orders:
-            raise ValueError("a tower needs at least one stage")
+            raise InvalidArgumentError("a tower needs at least one stage")
         for n in orders:
             _check_positive_int(n, "stage order")
         for a, b in zip(orders, orders[1:]):
             if b % a:
-                raise ValueError(f"orders must form a divisibility chain: {a} does not divide {b}")
+                got = f"{_shown(a)} does not divide {_shown(b)}"
+                raise InvalidArgumentError(f"orders must form a divisibility chain: {got}")
         object.__setattr__(self, "orders", orders)
 
     @property
@@ -513,9 +506,8 @@ class VerificationReport:
         return "\n".join(c.render() for c in self.checks)
 
     def prefixed(self, prefix: str) -> VerificationReport:
-        return VerificationReport(
-            tuple([replace(c, name=f"{prefix}.{c.name}") for c in self.checks])
-        )
+        checks = [replace(c, name=f"{prefix}.{c.name}") for c in self.checks]
+        return VerificationReport(tuple(checks))
 
     @staticmethod
     def merge(reports: Iterable[VerificationReport]) -> VerificationReport:
@@ -523,10 +515,8 @@ class VerificationReport:
 
 
 def _fmt(value) -> str:
-    if value is True:
-        return "YES"
-    if value is False:
-        return "NO"
+    if isinstance(value, bool):
+        return "YES" if value else "NO"
     return str(value)
 
 
@@ -554,14 +544,16 @@ def verify_corner_scaling(
     first = tower.orders[0]
     if first % r.denominator:
         raise DenominatorDoesNotDivideError(
-            f"rank denominator {r.denominator} does not divide the first stage order {first}"
+            f"rank denominator {r.denominator} does not divide "
+            f"the first stage order {_shown(first)}"
         )
     top = tower.top_order
     if top > rank_order_cap:
-        raise ValueError(f"top stage order {top} exceeds the rank cap {rank_order_cap}")
+        cap = _shown(rank_order_cap)
+        raise InvalidArgumentError(f"top stage order {_shown(top)} exceeds the rank cap {cap}")
     if not divides(from_natural(top), descriptor_st):
         raise NotADivisorError(
-            f"tower lcm {top} does not divide the descriptor {descriptor_st}"
+            f"tower lcm {_shown(top)} does not divide the descriptor {descriptor_st}"
         )
 
     checks: list[CheckLine] = []
@@ -575,24 +567,10 @@ def verify_corner_scaling(
         observed.append(rank)
         checks.append(_check("relative-rank", order, r, Fraction(rank, order)))
         checks.append(_check("corner-order", order, int(r * order), rank))
-    observed_lcm = math.lcm(*observed)
-    checks.append(
-        _check(
-            "corner-order-lcm",
-            top,
-            scale(from_natural(top), r),
-            from_natural(observed_lcm),
-        )
-    )
+    observed_st = from_natural(math.lcm(*observed))
+    checks.append(_check("corner-order-lcm", top, scale(from_natural(top), r), observed_st))
     corner_st = scale(descriptor_st, r)
-    checks.append(
-        _check(
-            "corner-divides-steinitz",
-            top,
-            True,
-            divides(from_natural(observed_lcm), corner_st),
-        )
-    )
+    checks.append(_check("corner-divides-steinitz", top, True, divides(observed_st, corner_st)))
     return VerificationReport(tuple(checks))
 
 
@@ -606,10 +584,11 @@ def proper_corner_witness(m: int, n: int, stage_order: int) -> VerificationRepor
     """
     for label, v in (("m", m), ("n", n), ("stage order", stage_order)):
         _check_positive_int(v, label)
+    got = f"got m={_shown(m)}, n={_shown(n)}"
     if m >= n:
-        raise ValueError(f"the corner must be proper: need m < n, got m={m}, n={n}")
+        raise InvalidArgumentError(f"the corner must be proper: need m < n, {got}")
     if math.gcd(m, n) != 1:
-        raise ValueError(f"m and n must be relatively prime, got m={m}, n={n}")
+        raise InvalidArgumentError(f"m and n must be relatively prime, {got}")
 
     c = stage_order
     e_mat = kron(MatrixStage.rank_projector(n, m), MatrixStage.identity(c))
@@ -671,12 +650,15 @@ def run_verification(
     witnesses for random coprime pairs, and corner span dimension plus
     fullness for random idempotents.  Deterministic for a fixed seed.
     """
+    if type(max_order) is not int or type(trials) is not int:
+        got = f"{type(max_order).__name__} and {type(trials).__name__}"
+        raise InvalidArgumentError(f"max order and trials must be integers, got {got}")
     if max_order < 2:
-        raise InvalidArgumentError(f"max order must be at least 2, got {max_order}")
+        raise InvalidArgumentError(f"max order must be at least 2, got {_shown(max_order)}")
     if trials < 1:
-        raise InvalidArgumentError(f"need at least one trial, got {trials}")
+        raise InvalidArgumentError(f"need at least one trial, got {_shown(trials)}")
     if trials > MAX_TRIALS:
-        raise InvalidArgumentError(f"need at most {MAX_TRIALS} trials, got {trials}")
+        raise InvalidArgumentError(f"need at most {MAX_TRIALS} trials, got {_shown(trials)}")
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
     for t in range(trials):

@@ -76,6 +76,14 @@ def gauss_inverse(rows):
     return [row[n:] for row in m]
 
 
+def plain_product(a, b):
+    """Textbook triple-loop product of row lists of ints and Fractions, m x k by k x n."""
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def matrix_rank_oracle(a: MatrixStage) -> int:
     return gauss_rank(a.entries)
 

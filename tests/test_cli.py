@@ -22,22 +22,27 @@ from steinitz import (
     ExpressionError,
     InvalidArgumentError,
     NotPrimeError,
+    SteinitzError,
     SteinitzSyntaxError,
     SupernaturalNumber,
     Tower,
     corner,
+    corner_isomorphism,
     decompose_matrix_factor,
     enumerate_morita_class,
     factorize,
     format_steinitz,
     from_natural,
     parse_steinitz,
+    proper_corner_witness,
+    random_idempotent,
     run_verification,
     scale,
     verify_corner_scaling,
 )
 from steinitz import cli
 from steinitz.cli import main
+from steinitz.tower import IdempotentElement, MatrixStage
 from steinitz.primes import set_default_trial_bound
 from steinitz.supernatural import MAX_NUMBER_DIGITS
 from helpers import random_supernatural, supernaturals
@@ -422,10 +427,53 @@ class TestErrorContract:
             lambda: run_verification(0, max_order=1),
             lambda: run_verification(0, trials=0),
             lambda: set_default_trial_bound(1),
+            lambda: MatrixStage([[1, 2], [3]]),
+            lambda: MatrixStage.rank_projector(3, 4),
+            lambda: MatrixStage.identity(2) + MatrixStage.identity(3),
+            lambda: MatrixStage.identity(2) * MatrixStage.identity(3),
+            lambda: IdempotentElement(MatrixStage([[2, 0], [0, 1]]), 1),
+            lambda: IdempotentElement(MatrixStage.identity(2), 3),
+            lambda: random_idempotent(3, 4, 1),
+            lambda: corner_isomorphism(random_idempotent(4, 2, 9)).apply(MatrixStage.identity(3)),
+            lambda: corner_isomorphism(random_idempotent(4, 2, 9)).lift(MatrixStage.identity(3)),
+            lambda: Tower(()),
+            lambda: Tower((2, 3)),
+            lambda: verify_corner_scaling(from_natural(128), Tower((128,)), 1, 0),
+            lambda: proper_corner_witness(3, 2, 1),
+            lambda: proper_corner_witness(2, 4, 1),
+            lambda: SupernaturalNumber(-1),
+            lambda: SupernaturalNumber(0, [(2, 1), (2, 3)]),
+            lambda: run_verification(0, trials="5"),
+            lambda: run_verification(0, max_order=96.0),
         ):
             with pytest.raises(InvalidArgumentError) as exc:
                 call()
             assert isinstance(exc.value, ValueError)
+
+    def test_huge_ints_are_shown_by_bit_length(self):
+        """A message never prints an int past CPython's int-to-str limit."""
+        huge = 10**5000
+        for call, shown in (
+            (lambda: decompose_matrix_factor(AlgebraDescriptor(ONE), -huge), "negative 16610-bit"),
+            (lambda: decompose_matrix_factor(AlgebraDescriptor(ONE), 2**20000), "20001-bit"),
+            (lambda: run_verification(0, trials=huge), "16610-bit"),
+            (lambda: run_verification(0, trials=-huge), "negative 16610-bit"),
+            (lambda: run_verification(0, max_order=-huge), "negative 16610-bit"),
+            (lambda: random_idempotent(3, huge, 1), "16610-bit"),
+            (lambda: enumerate_morita_class(AlgebraDescriptor(ONE), huge), "16610-bit"),
+            (lambda: factorize(6, trial_bound=-huge), "negative 16610-bit"),
+            (lambda: SupernaturalNumber(-huge), "negative 16610-bit"),
+            (lambda: corner(AlgebraDescriptor(ONE), huge), "16610-bit"),
+            (lambda: scale(ONE, Fraction(1, 2**20000)), "20001-bit"),
+            (lambda: Tower((3, huge)), "16610-bit"),
+            (lambda: proper_corner_witness(huge, 2, 1), "16610-bit"),
+        ):
+            with pytest.raises(SteinitzError, match=f"a {shown} number"):
+                call()
+        # Up to MAX_NUMBER_DIGITS digits the value itself is printed.
+        edge = 10**MAX_NUMBER_DIGITS - 1
+        with pytest.raises(InvalidArgumentError, match=f"got {edge}$"):
+            run_verification(0, trials=edge)
 
     def test_internal_errors_are_not_reported_as_input_errors(self, monkeypatch):
         """main maps only SteinitzError to exit 2; a bug raises through."""

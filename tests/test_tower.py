@@ -39,6 +39,7 @@ from helpers import (
     gauss_inverse,
     gauss_rank,
     matrix_rank_oracle,
+    plain_product,
     random_low_rank_matrix,
     random_matrix,
 )
@@ -183,6 +184,19 @@ class TestEntryContract:
             and isinstance(node.args[0], ast.GeneratorExp)
         ]
         assert offenders == [], f"tuple(<generator>) at {offenders}"
+
+    def test_no_plain_value_error_is_raised(self):
+        """Argument errors raise InvalidArgumentError, a SteinitzError that is still a ValueError."""
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(tower.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
+            and getattr(node.exc, "func", node.exc).id == "ValueError"
+        ]
+        assert offenders == [], f"raise ValueError at {offenders}"
 
 
 class TestExactRank:
@@ -382,6 +396,105 @@ class TestCornerIsomorphism:
             iso.apply(MatrixStage.identity(3))
         with pytest.raises(ValueError):
             iso.lift(MatrixStage.identity(3))
+
+    def test_no_row_wider_than_the_stage(self, monkeypatch):
+        """The inverse comes from the eliminations of e and 1 - e, not of [basis | I]."""
+        widths = []
+        echelon = tower._echelon
+
+        def recording(rows, *args, **kwargs):
+            rows = [list(row) for row in rows]
+            widths.extend([len(row) for row in rows])
+            return echelon(rows, *args, **kwargs)
+
+        monkeypatch.setattr(tower, "_echelon", recording)
+        for n, r in ((1, 1), (5, 2), (8, 8), (12, 7)):
+            widths.clear()
+            corner_isomorphism(random_idempotent(n, r, seed=n + r))
+            assert widths and max(widths) == n, (n, r)
+
+
+def _corner_cases():
+    """Seeded idempotents: integer ones at n <= 24 and every rank, then rational ones."""
+    rng = random.Random(1729)
+    for n in (1, 2, 3, 5, 8, 13, 24):
+        for r in sorted({1, 2, n // 3, n // 2, n - 1, n} - {0}) if n > 8 else range(1, n + 1):
+            yield random_idempotent(n, r, rng.randrange(2**32)), rng
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        r = rng.randint(1, n - 1)
+        q_inv = None
+        while q_inv is None:
+            q = random_matrix(rng, n)
+            q_inv = gauss_inverse(q.entries)
+        yield IdempotentElement.from_matrix(
+            q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)
+        ), rng
+
+
+def _rows(m: MatrixStage) -> list[list]:
+    return [list(row) for row in m.entries]
+
+
+class TestCornerMapsAgainstOracles:
+    """The rank-factor maps against plain Fraction products and a Gauss-Jordan inverse."""
+
+    def test_to_diagonal_inverts_from_diagonal(self):
+        for e, _ in _corner_cases():
+            iso = corner_isomorphism(e)
+            assert _rows(iso.to_diagonal) == gauss_inverse(iso.from_diagonal.entries)
+
+    def test_apply_is_the_leading_block(self):
+        for e, rng in _corner_cases():
+            iso = corner_isomorphism(e)
+            n, r = e.stage_order, e.rank
+            x = random_matrix(rng, n)
+            full = plain_product(
+                plain_product(iso.to_diagonal.entries, x.entries), iso.from_diagonal.entries
+            )
+            assert _rows(iso.apply(x)) == [row[:r] for row in full[:r]]
+
+    def test_lift_is_the_padded_conjugate(self):
+        for e, rng in _corner_cases():
+            iso = corner_isomorphism(e)
+            n, r = e.stage_order, e.rank
+            y = random_matrix(rng, r)
+            pad = [list(row) + [0] * (n - r) for row in y.entries] + [[0] * n] * (n - r)
+            expect = plain_product(
+                plain_product(iso.from_diagonal.entries, pad), iso.to_diagonal.entries
+            )
+            assert _rows(iso.lift(y)) == expect
+
+
+class TestRandomIdempotentOracle:
+    def test_conjugate_of_the_projector(self):
+        rng = random.Random(31337)
+        for n in (1, 2, 4, 7, 12, 20, 24):
+            for r in range(0, n + 1, 1 + n // 8):
+                s = rng.randrange(2**32)
+                p, p_inv = tower._unimodular(n, random.Random(s))
+                proj = [[int(i == j and i < r) for j in range(n)] for i in range(n)]
+                e = random_idempotent(n, r, s)
+                assert _rows(e.matrix) == plain_product(plain_product(p, proj), p_inv), (n, r)
+                assert _all_int(e.matrix)
+
+
+class TestRectangularProduct:
+    def test_matches_a_triple_loop(self):
+        rng = random.Random(2718)
+        for m, k, n in ((1, 1, 1), (2, 3, 4), (4, 3, 2), (5, 1, 3), (3, 7, 1), (6, 6, 6)):
+            for _ in range(5):
+                a = [[rng.choice((0, 0, 1, -2, F(3, 4))) for _ in range(k)] for _ in range(m)]
+                b = [[rng.choice((0, 0, 2, -1, F(-1, 3))) for _ in range(n)] for _ in range(k)]
+                got = tower._matmul_rows(a, b)
+                assert (len(got), len({len(row) for row in got})) == (m, 1)
+                assert len(got[0]) == n
+                assert got == plain_product(a, b)
+
+    def test_unreached_entries_stay_int_zero(self):
+        got = tower._matmul_rows([[F(1, 2), 0], [0, 0]], [[0, F(2)], [F(5), 1]])
+        assert got == [[0, 1], [0, 0]]
+        assert [type(x) for row in got for x in row] == [int, Fraction, int, int]
 
 
 class TestCornerSpanAndFullness:
