@@ -5,11 +5,18 @@ block-diagonal embeddings along a divisibility chain of orders, and seeded
 random idempotents.  A stage keeps each entry as given: an ``int`` stays an
 ``int`` and a ``Fraction`` stays a ``Fraction`` (floats and bools raise
 ``TypeError``), so the integer matrices the verification builds never pay
-for rational arithmetic.  Every stage is built one way, from a list of rows,
-and each stored row is ``tuple(<list>)``, never ``tuple(<generator>)``: a
-tuple grown from a generator is resized on the way and so never reuses a
-freed tuple of its final size, yet it is kept for reuse when freed, and those
-kept tuples raised the resident memory of verify runs.
+for rational arithmetic.  A stage is built one of two ways.  The public
+``MatrixStage(rows)`` validates: it checks that the rows are square and every
+entry exact (``diagonal`` checks its n values).  The private
+``MatrixStage._trusted(rows)`` skips those checks; it serves every stage this
+module computes from exact stages and exact scalars (products, sums,
+Kronecker products, seeded idempotents, corner bases and maps), whose entries
+are exact by construction.  Either way each stored row is ``tuple(<list>)``,
+never ``tuple(<generator>)``: a tuple grown from a generator is resized on
+the way and so never reuses a freed tuple of its final size, yet it is kept
+for reuse when freed, and those kept tuples raised the resident memory of
+verify runs.  No stage order may be asked for or made above
+``MAX_STAGE_ORDER``.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
@@ -58,12 +65,22 @@ RANK_ORDER_CAP = 96
 FULLNESS_ORDER_CAP = 6
 #: Most trials one verification run accepts: 500 take about 2 s at max order 96.
 MAX_TRIALS = 500
+#: Largest order a stage may be asked for or made with: the largest top stage
+#: ``sample_tower`` can draw (a first order of 24, then two multiplicities of 4).
+MAX_STAGE_ORDER = 24 * 4 * 4
 
 _UNIMODULAR_ENTRY_BOUND = 3
+_INT_ONLY = {int}
 
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _check_exact(values: Iterable) -> None:
+    for x in values:
+        if not _is_exact(x):
+            raise TypeError(f"matrix entries must be exact (int or Fraction), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -77,11 +94,20 @@ class MatrixStage:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise InvalidArgumentError("matrix must be square and nonempty")
-        for row in rows:
-            for x in row:
-                if not _is_exact(x):
-                    raise TypeError(f"matrix entries must be exact (int or Fraction), got {x!r}")
+        _check_exact(chain.from_iterable(rows))
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[Sequence[int | Fraction]]) -> MatrixStage:
+        """A stage from square, nonempty rows of exact entries, without the checks.
+
+        Only for rows this module computed from exact stages and exact
+        scalars, which are exact again; anything from outside goes through
+        ``MatrixStage(rows)``.  Each stored row is still ``tuple(<list>)``.
+        """
+        stage = object.__new__(cls)
+        object.__setattr__(stage, "entries", tuple([tuple(row) for row in rows]))
+        return stage
 
     @property
     def order(self) -> int:
@@ -89,20 +115,28 @@ class MatrixStage:
 
     @classmethod
     def identity(cls, n: int) -> MatrixStage:
+        _check_stage_order(n)
         return cls.diagonal([1] * n)
 
     @classmethod
     def zero(cls, n: int) -> MatrixStage:
+        _check_stage_order(n)
         return cls.diagonal([0] * n)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> MatrixStage:
+        """The diagonal stage of the given exact values; only those n values are checked."""
         n = len(values)
-        return cls([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
+        _check_stage_order(n)
+        if n == 0:
+            raise InvalidArgumentError("matrix must be square and nonempty")
+        _check_exact(values)
+        return cls._trusted([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
 
     @classmethod
     def rank_projector(cls, n: int, r: int) -> MatrixStage:
         """diag(1, .., 1, 0, .., 0) with r ones."""
+        _check_stage_order(n)
         if not 0 <= r <= n:
             got = f"got r={_shown(r)}, n={_shown(n)}"
             raise InvalidArgumentError(f"projector rank must satisfy 0 <= r <= n, {got}")
@@ -116,7 +150,7 @@ class MatrixStage:
             return NotImplemented
         if self.order != other.order:
             raise InvalidArgumentError(f"order mismatch in matrix {what}")
-        return MatrixStage(
+        return MatrixStage._trusted(
             [list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]
         )
 
@@ -130,13 +164,19 @@ class MatrixStage:
         if isinstance(other, MatrixStage):
             if self.order != other.order:
                 raise InvalidArgumentError("order mismatch in matrix product")
-            return MatrixStage(_matmul_rows(self.entries, other.entries))
+            return MatrixStage._trusted(_matmul_rows(self.entries, other.entries))
         if _is_exact(other):
-            return MatrixStage([[x * other for x in row] for row in self.entries])
+            return MatrixStage._trusted([[x * other for x in row] for row in self.entries])
         return NotImplemented
 
     # A scalar on the left: exact scalars commute with every entry.
     __rmul__ = __mul__
+
+
+def _check_stage_order(n: int) -> None:
+    """Refuse a requested or resulting stage order above MAX_STAGE_ORDER, before allocating."""
+    if n > MAX_STAGE_ORDER:
+        raise InvalidArgumentError(f"stage order {_shown(n)} exceeds the cap {MAX_STAGE_ORDER}")
 
 
 def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -158,26 +198,38 @@ def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 
 def _strip_content(row: list[int]) -> list[int]:
-    """Divide an integer row by the gcd of its entries, in place (same size)."""
-    g = 0
-    for x in row:
-        if x:
-            g = math.gcd(g, x)
+    """Divide an integer row by the gcd of its entries, in place (same size).
+
+    One ``math.gcd(*row)`` call takes the content in C; zeros leave the gcd
+    as it is, and the zero row has content 0 and stays as it is.
+    """
+    g = math.gcd(*row)
     if g > 1:
         row[:] = [x // g for x in row]
     return row
 
 
 def _primitive_int_row(row: Sequence[int | Fraction]) -> list[int] | None:
-    """Scale a row of ints and Fractions to coprime integers; None for the zero row."""
+    """Scale a row of ints and Fractions to coprime integers; None for the zero row.
+
+    A row of plain ints, which is every row of an integer stage, is copied
+    as it is with ``list(row)``: the type test runs in C, and no entry
+    pays for a denominator.  Other rows go through ``_cleared_row``.  Either
+    way the result is a fresh list of exactly the row's size.
+    """
+    ints = list(row) if set(map(type, row)) <= _INT_ONLY else _cleared_row(row)
+    if not any(ints):
+        return None
+    return _strip_content(ints)
+
+
+def _cleared_row(row: Sequence[int | Fraction]) -> list[int]:
+    """A row of ints and Fractions times the lcm of its denominators, as an exact-size list."""
     denom_lcm = 1
     for x in row:
         if x:
             denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [x.numerator * (denom_lcm // x.denominator) for x in row]
-    if not any(ints):
-        return None
-    return _strip_content(ints[:])
+    return [x.numerator * (denom_lcm // x.denominator) for x in row][:]
 
 
 def _echelon(
@@ -223,13 +275,14 @@ def _echelon(
         work[rank], work[piv] = work[piv], work[rank]
         prow = work[rank]
         pval = prow[c]
+        ptail = prow[c:]
         for i in range(rank + 1, nrows):
             row = work[i]
             v = row[c]
             if v:
                 # Rows below the pivot are zero before column c.
                 work[i] = _strip_content(
-                    row[:c] + [pval * row[k] - v * prow[k] for k in range(c, width)]
+                    row[:c] + [pval * x - v * y for x, y in zip(row[c:], ptail)]
                 )
         if reduced:
             for i in range(rank):
@@ -239,7 +292,7 @@ def _echelon(
                     # Rows above are not zero before column c; the pivot row is.
                     work[i] = _strip_content(
                         [pval * x for x in row[:c]]
-                        + [pval * row[k] - v * prow[k] for k in range(c, width)]
+                        + [pval * x - v * y for x, y in zip(row[c:], ptail)]
                     )
         pivots.append(c)
         rank += 1
@@ -265,12 +318,14 @@ def embed(a: MatrixStage, k: int) -> MatrixStage:
     identity to the identity and is an algebra homomorphism.
     """
     _check_positive_int(k, "multiplicity")
+    _check_stage_order(a.order * k)
     return kron(MatrixStage.identity(k), a)
 
 
 def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
     """Kronecker (tensor) product; order multiplies, rank multiplies."""
     n, m = a.order, b.order
+    _check_stage_order(n * m)
     ae, be = a.entries, b.entries
     out = []
     for i1 in range(n):
@@ -283,7 +338,7 @@ def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
                 else:
                     row.extend([0] * m)
             out.append(row)
-    return MatrixStage(out)
+    return MatrixStage._trusted(out)
 
 
 @dataclass(frozen=True)
@@ -318,26 +373,31 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
     Built from elementary shears and sign-swaps, each applied only when the
     entry bound survives, with the inverse tracked by the matching column
     operations.  Exact integer inverses keep conjugation growth bounded.
+
+    The inverse is kept transposed while it is built, so each of its column
+    operations is one row operation: a sign-swap swaps and negates rows, and
+    a shear is one list comprehension over two rows.  It is transposed back
+    once at the end.
     """
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    bound = _UNIMODULAR_ENTRY_BOUND
     if n > 1:
         for _ in range(6 * n):
             if rng.randrange(4) == 3:
                 i, j = rng.sample(range(n), 2)
                 mat[i], mat[j] = mat[j], mat[i]
                 mat[i] = [-x for x in mat[i]]
-                for row in inv:
-                    row[i], row[j] = row[j], row[i]
-                    row[i] = -row[i]
+                inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
+                inv_t[i] = [-x for x in inv_t[i]]
             else:
                 i, j = rng.sample(range(n), 2)
                 c = rng.choice((-2, -1, 1, 2))
-                new_row = [mat[j][k] + c * mat[i][k] for k in range(n)]
-                if all(abs(x) <= _UNIMODULAR_ENTRY_BOUND for x in new_row):
+                new_row = [x + c * y for x, y in zip(mat[j], mat[i])]
+                if -bound <= min(new_row) and max(new_row) <= bound:
                     mat[j] = new_row
-                    for row in inv:
-                        row[i] -= c * row[j]
+                    inv_t[i] = [x - c * y for x, y in zip(inv_t[i], inv_t[j])]
+    inv = [[col[k] for col in inv_t] for k in range(n)]
     if _matmul_rows(mat, inv) != [[int(i == j) for j in range(n)] for i in range(n)]:
         raise RuntimeError("unimodular bookkeeping failed")
     return mat, inv
@@ -351,11 +411,15 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     idempotent with integer entries and is reproducible per seed.
     """
     _check_positive_int(n, "order")
+    _check_stage_order(n)
     if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
         got = _shown(r) if isinstance(r, int) else repr(r)
         raise InvalidArgumentError(f"rank must satisfy 0 <= r <= {_shown(n)}, got {got}")
     p, p_inv = _unimodular(n, random.Random(seed))
-    e = MatrixStage(_matmul_rows([row[:r] for row in p], p_inv[:r])) if r else MatrixStage.zero(n)
+    if r:
+        e = MatrixStage._trusted(_matmul_rows([row[:r] for row in p], p_inv[:r]))
+    else:
+        e = MatrixStage.zero(n)
     return IdempotentElement(e, r)
 
 
@@ -380,13 +444,13 @@ class CornerIsomorphism:
         if x.order != self.order:
             raise InvalidArgumentError("element order does not match the stage order")
         cx = _matmul_rows(self.to_diagonal.entries[: self.rank], x.entries)
-        return MatrixStage(_matmul_rows(cx, self._columns()))
+        return MatrixStage._trusted(_matmul_rows(cx, self._columns()))
 
     def lift(self, y: MatrixStage) -> MatrixStage:
         if y.order != self.rank:
             raise InvalidArgumentError("element order does not match the corner rank")
         by = _matmul_rows(self._columns(), y.entries)
-        return MatrixStage(_matmul_rows(by, self.to_diagonal.entries[: self.rank]))
+        return MatrixStage._trusted(_matmul_rows(by, self.to_diagonal.entries[: self.rank]))
 
     def _columns(self) -> list[list]:
         """B, the first r columns of ``from_diagonal``, as lists: tuple slices raised peak RSS."""
@@ -415,11 +479,13 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     crows, complement = _echelon(comp, reduced=True)
     if len(image) != r or len(complement) != n - r:
         raise RuntimeError("idempotent splitting produced unexpected dimensions")
-    basis = MatrixStage(
+    basis = MatrixStage._trusted(
         [[row[j] for j in image] + [crow[j] for j in complement] for row, crow in zip(ent, comp)]
     )
     pivoted = zip(rows + crows, image + complement)
-    to_diag = MatrixStage([[Fraction(x, row[c]) if x else 0 for x in row] for row, c in pivoted])
+    to_diag = MatrixStage._trusted(
+        [[Fraction(x, row[c]) if x else 0 for x in row] for row, c in pivoted]
+    )
     if to_diag * e.matrix * basis != MatrixStage.rank_projector(n, r):
         raise RuntimeError("change of basis failed to diagonalize the idempotent")
     return CornerIsomorphism(rank=r, to_diagonal=to_diag, from_diagonal=basis)

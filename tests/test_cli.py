@@ -29,10 +29,12 @@ from steinitz import (
     corner,
     corner_isomorphism,
     decompose_matrix_factor,
+    embed,
     enumerate_morita_class,
     factorize,
     format_steinitz,
     from_natural,
+    kron,
     parse_steinitz,
     proper_corner_witness,
     random_idempotent,
@@ -42,7 +44,7 @@ from steinitz import (
 )
 from steinitz import cli
 from steinitz.cli import main
-from steinitz.tower import IdempotentElement, MatrixStage
+from steinitz.tower import MAX_STAGE_ORDER, IdempotentElement, MatrixStage
 from steinitz.primes import set_default_trial_bound
 from steinitz.supernatural import MAX_NUMBER_DIGITS
 from helpers import random_supernatural, supernaturals
@@ -449,6 +451,27 @@ class TestErrorContract:
             with pytest.raises(InvalidArgumentError) as exc:
                 call()
             assert isinstance(exc.value, ValueError)
+        # A requested or resulting stage order above the cap is refused before any allocation.
+        cap, huge = MAX_STAGE_ORDER, 10**5000
+        for call, shown in (
+            (lambda: random_idempotent(10**6, 0, 0), "1000000"),
+            (lambda: random_idempotent(huge, 0, 0), "a 16610-bit number"),
+            (lambda: random_idempotent(cap + 1, 1, 0), str(cap + 1)),
+            (lambda: MatrixStage.identity(10**6), "1000000"),
+            (lambda: MatrixStage.zero(huge), "a 16610-bit number"),
+            (lambda: MatrixStage.rank_projector(10**6, 0), "1000000"),
+            (lambda: MatrixStage.rank_projector(huge, 1), "a 16610-bit number"),
+            (lambda: MatrixStage.diagonal([1] * (cap + 1)), str(cap + 1)),
+            (lambda: embed(MatrixStage.identity(2), 5 * 10**5), "1000000"),
+            (lambda: embed(MatrixStage.identity(2), huge), "a 16611-bit number"),
+            (lambda: kron(MatrixStage.identity(20), MatrixStage.identity(20)), "400"),
+            (lambda: proper_corner_witness(1, 2, 10**6), "1000000"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(InvalidArgumentError, match=f"^stage order {shown} exceeds the cap"):
+                call()
+            assert time.perf_counter() - start < 2.0, shown
+        assert MatrixStage.identity(cap).order == cap
 
     def test_huge_ints_are_shown_by_bit_length(self):
         """A message never prints an int past CPython's int-to-str limit."""

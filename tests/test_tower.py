@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import math
 import random
 import re
 from fractions import Fraction
@@ -477,6 +479,128 @@ class TestRandomIdempotentOracle:
                 e = random_idempotent(n, r, s)
                 assert _rows(e.matrix) == plain_product(plain_product(p, proj), p_inv), (n, r)
                 assert _all_int(e.matrix)
+
+
+class TestUnimodularPinned:
+    def test_rows_are_pinned(self):
+        """The shears, their order and the RNG stream behind every seeded idempotent."""
+        text = repr([tower._unimodular(n, random.Random(7 * n)) for n in range(1, 30)])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "3f5c6e66b659ba9c14ae6fe40e522c4dc08f9c15299c34a10010d15bf6cbd736"
+
+
+def _entry_types(m: MatrixStage) -> list[type]:
+    return [type(x) for row in m.entries for x in row]
+
+
+class TestTrustedBuilder:
+    """Stages the tower computes skip the entry scan; the public constructor must accept them."""
+
+    def test_every_trusted_stage_passes_the_public_constructor(self, monkeypatch):
+        made = []
+        trusted = tower.MatrixStage._trusted.__func__
+
+        def recording(cls, rows):
+            stage = trusted(cls, rows)
+            made.append(stage)
+            return stage
+
+        monkeypatch.setattr(tower.MatrixStage, "_trusted", classmethod(recording))
+        rng = random.Random(8086)
+        corpus = []
+        for n in range(1, 25):
+            for r in range(n + 1):
+                corpus.append(random_idempotent(n, r, rng.randrange(2**32)).matrix)
+        for n in (1, 2, 3, 5, 8):
+            ints = [
+                MatrixStage([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                for _ in range(2)
+            ]
+            rats = [random_matrix(rng, n) for _ in range(2)]
+            for a, b in ((ints[0], ints[1]), (rats[0], rats[1]), (ints[0], rats[1])):
+                corpus += [a * b, b * a, a + b, a - b, a * F(2, 3), 3 * a, a * -2]
+                corpus += [kron(a, b), embed(a, 3), embed(b, 1)]
+        for e, rng in _corner_cases():
+            iso = corner_isomorphism(e)
+            corpus += [iso.to_diagonal, iso.from_diagonal]
+            corpus.append(iso.apply(random_matrix(rng, e.stage_order)))
+            corpus.append(iso.lift(random_matrix(rng, e.rank)))
+        # Every stage of the corpus came through the trusted builder, and more besides.
+        assert {id(m) for m in corpus} <= {id(m) for m in made}
+        assert len(made) > len(corpus)
+        for stage in made:
+            assert type(stage.entries) is tuple
+            assert all(type(row) is tuple for row in stage.entries)
+            rebuilt = MatrixStage([list(row) for row in stage.entries])
+            assert rebuilt.entries == stage.entries
+            assert _entry_types(rebuilt) == _entry_types(stage)
+
+
+class TestComplexityGuard:
+    """Deterministic counts instead of wall clocks for the tower's integer fast path."""
+
+    def test_verify_checks_only_the_values_passed_in(self, monkeypatch):
+        """No stage built from stages is scanned again: only diagonal values and scalars are."""
+        counts = {"checks": 0, "passed_in": 0}
+        is_exact = tower._is_exact
+        diagonal = tower.MatrixStage.diagonal.__func__
+        product = tower.MatrixStage.__mul__
+
+        def counting_is_exact(x):
+            counts["checks"] += 1
+            return is_exact(x)
+
+        def counting_diagonal(cls, values):
+            counts["passed_in"] += len(values)
+            return diagonal(cls, values)
+
+        def counting_product(self, other):
+            if not isinstance(other, MatrixStage):
+                counts["passed_in"] += 1
+            return product(self, other)
+
+        monkeypatch.setattr(tower, "_is_exact", counting_is_exact)
+        monkeypatch.setattr(tower.MatrixStage, "diagonal", classmethod(counting_diagonal))
+        monkeypatch.setattr(tower.MatrixStage, "__mul__", counting_product)
+        monkeypatch.setattr(tower.MatrixStage, "__rmul__", counting_product)
+        assert run_verification(7, 96, 20).all_passed
+        assert counts["checks"] <= counts["passed_in"], counts
+
+    def test_integer_rows_never_clear_denominators(self, monkeypatch):
+        calls = []
+        cleared = tower._cleared_row
+
+        def counting(row):
+            calls.append(len(row))
+            return cleared(row)
+
+        monkeypatch.setattr(tower, "_cleared_row", counting)
+        assert run_verification(7, 96, 20).all_passed
+        assert calls == []
+        half = F(1, 2)
+        corner_isomorphism(IdempotentElement.from_matrix(MatrixStage([[half, half], [half, half]])))
+        assert calls
+
+
+class TestRowKernels:
+    def test_primitive_rows_match_a_fraction_oracle(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            n = rng.randint(0, 7)
+            row = [rng.choice((0, 0, 1, -4, 6, 12, F(3, 4), F(-5, 6))) for _ in range(n)]
+            if rng.random() < 0.5:
+                row = [int(x) * rng.choice((1, 2, 6)) for x in row]
+            got = tower._primitive_int_row(tuple(row))
+            if not any(row):
+                assert got is None
+                continue
+            lcm = 1
+            for x in row:
+                lcm = lcm * F(x).denominator // math.gcd(lcm, F(x).denominator)
+            scaled = [int(x * lcm) for x in row]
+            g = math.gcd(*scaled)
+            assert got == [x // g for x in scaled], row
+            assert {type(x) for x in got} == {int}
 
 
 class TestRectangularProduct:
