@@ -15,8 +15,9 @@ are exact by construction.  Either way each stored row is ``tuple(<list>)``,
 never ``tuple(<generator>)``: a tuple grown from a generator is resized on
 the way and so never reuses a freed tuple of its final size, yet it is kept
 for reuse when freed, and those kept tuples raised the resident memory of
-verify runs.  No stage order may be asked for or made above
-``MAX_STAGE_ORDER``.
+verify runs.  The builders that take an order (``identity``, ``zero``,
+``rank_projector``, ``diagonal``, ``random_idempotent``) and ``embed``/``kron``
+refuse an order above ``MAX_STAGE_ORDER`` before allocating anything.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
