@@ -71,6 +71,7 @@ from .morita import (
 from .tower import (
     FULLNESS_ORDER_CAP,
     RANK_ORDER_CAP,
+    SPAN_ORDER_CAP,
     CheckLine,
     CornerIsomorphism,
     IdempotentElement,
@@ -115,6 +116,7 @@ __all__ = [
     "ONE",
     "RANK_ORDER_CAP",
     "RatioTooLargeError",
+    "SPAN_ORDER_CAP",
     "SpanCapExceededError",
     "SteinitzError",
     "SteinitzSyntaxError",

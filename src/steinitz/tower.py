@@ -64,6 +64,9 @@ from .supernatural import (
 RANK_ORDER_CAP = 96
 #: Default cap on stage orders for fullness span computations (n**4 blowup).
 FULLNESS_ORDER_CAP = 6
+#: Largest order ``corner_span_dimension`` takes: it eliminates n**2 rows of
+#: width n**2, which takes up to about 60 ms at n = 12 and grows about as n**6.
+SPAN_ORDER_CAP = 12
 #: Most trials one verification run accepts: 500 take about 2 s at max order 96.
 MAX_TRIALS = 500
 #: Largest order a stage may be asked for or made with: the largest top stage
@@ -71,6 +74,10 @@ MAX_TRIALS = 500
 MAX_STAGE_ORDER = 24 * 4 * 4
 
 _UNIMODULAR_ENTRY_BOUND = 3
+_SHEAR_FACTORS = (-2, -1, 1, 2)
+#: Largest population ``random.Random.sample`` draws two from through its
+#: pool branch; above it, the set branch.
+_SAMPLE_POOL_MAX = 21
 _INT_ONLY = {int}
 
 
@@ -368,6 +375,19 @@ class IdempotentElement:
         return cls(matrix, exact_rank(matrix))
 
 
+def _below(bits, m: int) -> int:
+    """A draw from [0, m) as ``random.Random._randbelow_with_getrandbits`` makes it.
+
+    ``bits`` is a bound ``getrandbits``: draw ``m.bit_length()`` bits and
+    draw again while the result is m or more.
+    """
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
 def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
     """Rows of a seeded integer matrix with det +-1, entries in [-3, 3], and of its inverse.
 
@@ -379,21 +399,43 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
     operations is one row operation: a sign-swap swaps and negates rows, and
     a shear is one list comprehension over two rows.  It is transposed back
     once at the end.
+
+    The draws read ``rng.getrandbits`` directly, through ``_below``, and take
+    exactly the values, and leave exactly the state, of the calls they
+    replace, which fix every seeded idempotent and so the verify text:
+    ``randrange(4)`` is ``_below(bits, 4)``; ``choice`` of the four shear
+    factors indexes them by ``_below(bits, 4)``; ``sample(range(n), 2)`` is
+    ``i = _below(bits, n)`` and then, as in ``sample``'s pool branch for
+    n <= 21, ``j = _below(bits, n - 1)`` with n - 1 in place of i, or, as in
+    its set branch above 21, ``_below(bits, n)`` drawn again while it is i.
+    Checked on CPython 3.10 to 3.13 (rows, inverse and the state after the
+    call); a test compares it with the ``randrange``/``sample``/``choice``
+    loop, so a release that changes either rule fails loudly.
     """
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     inv_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     bound = _UNIMODULAR_ENTRY_BOUND
     if n > 1:
+        bits = rng.getrandbits
+        pooled = n <= _SAMPLE_POOL_MAX
         for _ in range(6 * n):
-            if rng.randrange(4) == 3:
-                i, j = rng.sample(range(n), 2)
+            swap = _below(bits, 4) == 3
+            i = _below(bits, n)
+            if pooled:
+                j = _below(bits, n - 1)
+                if j == i:
+                    j = n - 1
+            else:
+                j = _below(bits, n)
+                while j == i:
+                    j = _below(bits, n)
+            if swap:
                 mat[i], mat[j] = mat[j], mat[i]
                 mat[i] = [-x for x in mat[i]]
                 inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
                 inv_t[i] = [-x for x in inv_t[i]]
             else:
-                i, j = rng.sample(range(n), 2)
-                c = rng.choice((-2, -1, 1, 2))
+                c = _SHEAR_FACTORS[_below(bits, 4)]
                 new_row = [x + c * y for x, y in zip(mat[j], mat[i])]
                 if -bound <= min(new_row) and max(new_row) <= bound:
                     mat[j] = new_row
@@ -421,6 +463,9 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
         e = MatrixStage._trusted(_matmul_rows([row[:r] for row in p], p_inv[:r]))
     else:
         e = MatrixStage.zero(n)
+    # rank(e) = tr(e) for an idempotent: a self-check beside e * e = e.
+    if e.trace() != r:
+        raise RuntimeError("seeded idempotent has a trace other than its rank")
     return IdempotentElement(e, r)
 
 
@@ -493,8 +538,16 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
 
 
 def corner_span_dimension(e: IdempotentElement | MatrixStage) -> int:
-    """Dimension of e M_n e, from the spanning set {e E_ij e} by brute force."""
+    """Dimension of e M_n e, from the spanning set {e E_ij e} by brute force.
+
+    Orders above ``SPAN_ORDER_CAP`` raise SpanCapExceededError before any row
+    is built (the span computation is n**4 in the order).
+    """
     m = e.matrix if isinstance(e, IdempotentElement) else e
+    if m.order > SPAN_ORDER_CAP:
+        raise SpanCapExceededError(
+            f"order {m.order} exceeds the corner span cap {SPAN_ORDER_CAP}"
+        )
     ent = m.entries
     # e E_ij e = (column i of e) (row j of e), flattened row-major.
     rows = ([c * x for c in col for x in rj] for col in zip(*ent) for rj in ent)

@@ -24,6 +24,7 @@ from steinitz import (
     is_prime,
     scale,
 )
+from steinitz.tower import _UNIMODULAR_ENTRY_BOUND, _matmul_rows
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: A prime outside PRIME_POOL: its exponent is the default of every value
@@ -74,6 +75,36 @@ def gauss_inverse(rows):
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return [row[n:] for row in m]
+
+
+def unimodular_oracle(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
+    """The ``randrange``/``sample``/``choice`` loop that ``tower._unimodular`` replaced.
+
+    Kept as it was, so that the ``getrandbits`` draws are checked against
+    the calls they reproduce: same rows, same inverse, same RNG state after.
+    """
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    bound = _UNIMODULAR_ENTRY_BOUND
+    if n > 1:
+        for _ in range(6 * n):
+            if rng.randrange(4) == 3:
+                i, j = rng.sample(range(n), 2)
+                mat[i], mat[j] = mat[j], mat[i]
+                mat[i] = [-x for x in mat[i]]
+                inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
+                inv_t[i] = [-x for x in inv_t[i]]
+            else:
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                new_row = [x + c * y for x, y in zip(mat[j], mat[i])]
+                if -bound <= min(new_row) and max(new_row) <= bound:
+                    mat[j] = new_row
+                    inv_t[i] = [x - c * y for x, y in zip(inv_t[i], inv_t[j])]
+    inv = [[col[k] for col in inv_t] for k in range(n)]
+    if _matmul_rows(mat, inv) != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise RuntimeError("unimodular bookkeeping failed")
+    return mat, inv
 
 
 def plain_product(a, b):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from steinitz import (
     InvalidArgumentError,
     MatrixStage,
     NotADivisorError,
+    SPAN_ORDER_CAP,
     SpanCapExceededError,
     SupernaturalNumber,
     Tower,
@@ -44,6 +46,7 @@ from helpers import (
     plain_product,
     random_low_rank_matrix,
     random_matrix,
+    unimodular_oracle,
 )
 
 F = Fraction
@@ -307,6 +310,13 @@ class TestRandomIdempotent:
         with pytest.raises(ValueError):
             random_idempotent(3, -1, seed=1)
 
+    def test_trace_self_check(self, monkeypatch):
+        """rank(e) = tr(e) for an idempotent; a trace off by one must not pass."""
+        r = 2
+        monkeypatch.setattr(MatrixStage, "trace", lambda self: r + 1)
+        with pytest.raises(RuntimeError, match="trace"):
+            random_idempotent(5, r, seed=3)
+
     def test_from_matrix_validates(self):
         e = IdempotentElement.from_matrix(MatrixStage.rank_projector(4, 2))
         assert (e.rank, e.stage_order) == (2, 4)
@@ -489,6 +499,56 @@ class TestUnimodularPinned:
         assert digest == "3f5c6e66b659ba9c14ae6fe40e522c4dc08f9c15299c34a10010d15bf6cbd736"
 
 
+class _CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls.
+
+    Overriding getrandbits keeps ``_randbelow_with_getrandbits``, so the
+    stream is that of ``random.Random`` with the same seed.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class _DirectRandom(_CountingRandom):
+    """A counting Random that refuses the draws ``_unimodular`` no longer makes."""
+
+    def _refused(self, *args, **kwargs):
+        raise AssertionError("_unimodular must draw through getrandbits only")
+
+    sample = randrange = choice = _refused
+
+
+class TestUnimodularOracle:
+    """``_unimodular``'s getrandbits draws against the randrange/sample/choice loop."""
+
+    # Every n across sample's pool/set boundary at 21/22, every 8th n up to
+    # the verify cap, and the largest stage order once.
+    SIZES = [(n, 4) for n in range(1, 41)] + [(n, 4) for n in range(48, 97, 8)] + [(384, 1)]
+
+    def test_rows_inverse_and_state_match_the_oracle(self):
+        rng = random.Random(4242)
+        for n, seeds in self.SIZES:
+            for _ in range(seeds):
+                s = rng.randrange(2**32)
+                got_rng, want_rng = random.Random(s), random.Random(s)
+                assert tower._unimodular(n, got_rng) == unimodular_oracle(n, want_rng), (n, s)
+                assert got_rng.getstate() == want_rng.getstate(), (n, s)
+
+    def test_draws_only_getrandbits_as_often_as_the_oracle(self):
+        for n in (1, 2, 3, 5, 21, 22, 40, 96):
+            for s in (0, 1, 2**31 + n):
+                direct, oracle = _DirectRandom(s), _CountingRandom(s)
+                assert tower._unimodular(n, direct) == unimodular_oracle(n, oracle)
+                assert direct.calls == oracle.calls, (n, s)
+                assert (direct.calls > 0) == (n > 1)
+
+
 def _entry_types(m: MatrixStage) -> list[type]:
     return [type(x) for row in m.entries for x in row]
 
@@ -632,6 +692,18 @@ class TestCornerSpanAndFullness:
 
     def test_span_accepts_raw_matrix(self):
         assert corner_span_dimension(MatrixStage.rank_projector(4, 3)) == 9
+
+    def test_span_cap(self):
+        assert SPAN_ORDER_CAP > 8
+        assert corner_span_dimension(MatrixStage.rank_projector(SPAN_ORDER_CAP, 3)) == 9
+        for n, r in ((SPAN_ORDER_CAP + 1, 1), (384, 192)):
+            start = time.perf_counter()
+            with pytest.raises(SpanCapExceededError, match="corner span cap"):
+                corner_span_dimension(MatrixStage.rank_projector(n, r))
+            assert time.perf_counter() - start < 2.0, n
+        e = random_idempotent(SPAN_ORDER_CAP + 1, 1, seed=4)
+        with pytest.raises(SpanCapExceededError):
+            corner_span_dimension(e)
 
     def test_fullness_iff_nonzero(self):
         rng = random.Random(2002)
