@@ -42,7 +42,7 @@ from .supernatural import (
     mul,
     parse_steinitz,
 )
-from .tower import run_verification
+from .tower import RANK_ORDER_CAP, run_verification
 
 
 def _integer(text: str) -> int:
@@ -145,7 +145,7 @@ _ARGUMENTS = {
     "order": dict(type=_integer),
     "bound": dict(type=_integer),
     "--seed": dict(type=_integer, required=True),
-    "--max-order": dict(type=_integer, default=96),
+    "--max-order": dict(type=_integer, default=RANK_ORDER_CAP),
     "--trials": dict(type=_integer, default=20),
 }
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -52,12 +53,6 @@ class Infinity:
         return NotImplemented
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        # inf - t = inf for finite t; inf - inf stays undefined.
-        if isinstance(other, int):
-            return self
-        return NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, Infinity)
@@ -291,10 +286,10 @@ def exponent_at(s: SupernaturalNumber, p: int) -> Exponent:
     """Exponent of the prime p in s (the default if p is not an exception)."""
     if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"{p!r} is not prime")
-    for q, e in s.exceptions:
-        if q == p:
-            return e
-    return s.default_exp
+    # The keys ascend, and (p,) sorts before (p, e), so no exponent is compared.
+    ex = s.exceptions
+    i = bisect_left(ex, (p,))
+    return ex[i][1] if i < len(ex) and ex[i][0] == p else s.default_exp
 
 
 def _aligned(

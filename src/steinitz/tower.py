@@ -17,7 +17,9 @@ the way and so never reuses a freed tuple of its final size, yet it is kept
 for reuse when freed, and those kept tuples raised the resident memory of
 verify runs.  The builders that take an order (``identity``, ``zero``,
 ``rank_projector``, ``diagonal``, ``random_idempotent``) and ``embed``/``kron``
-refuse an order above ``MAX_STAGE_ORDER`` before allocating anything.
+refuse an order above ``MAX_STAGE_ORDER`` before allocating anything.  Every
+such limit is a module constant that no call can raise, and an
+``IdempotentElement`` proves e*e = e and rank = tr(e) when it is built.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Sequence
@@ -69,9 +71,11 @@ FULLNESS_ORDER_CAP = 6
 SPAN_ORDER_CAP = 12
 #: Most trials one verification run accepts: 500 take about 2 s at max order 96.
 MAX_TRIALS = 500
+#: Largest first order, number of stages and multiplicity ``sample_tower`` draws.
+_MAX_FIRST, _MAX_DEPTH, _MAX_MULTIPLICITY = 24, 3, 4
 #: Largest order a stage may be asked for or made with: the largest top stage
-#: ``sample_tower`` can draw (a first order of 24, then two multiplicities of 4).
-MAX_STAGE_ORDER = 24 * 4 * 4
+#: ``sample_tower`` can draw.
+MAX_STAGE_ORDER = _MAX_FIRST * _MAX_MULTIPLICITY ** (_MAX_DEPTH - 1)
 
 _UNIMODULAR_ENTRY_BOUND = 3
 _SHEAR_FACTORS = (-2, -1, 1, 2)
@@ -351,7 +355,7 @@ def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
 
 @dataclass(frozen=True)
 class IdempotentElement:
-    """An exact idempotent e (e*e = e) at a single matrix stage."""
+    """An exact idempotent e at one matrix stage; construction proves e*e = e and rank = tr(e)."""
 
     matrix: MatrixStage
     rank: int
@@ -359,8 +363,10 @@ class IdempotentElement:
     def __post_init__(self):
         if self.matrix * self.matrix != self.matrix:
             raise InvalidArgumentError("matrix is not idempotent")
-        if not 0 <= self.rank <= self.stage_order:
-            raise InvalidArgumentError("rank out of range")
+        trace, rank = self.matrix.trace(), self.rank
+        if type(rank) is not int or rank != trace:
+            got = f"{type(rank).__name__} {_shown(rank)}"
+            raise InvalidArgumentError(f"rank must be the int trace {_shown(trace)}, got {got}")
 
     @property
     def stage_order(self) -> int:
@@ -372,7 +378,8 @@ class IdempotentElement:
 
     @classmethod
     def from_matrix(cls, matrix: MatrixStage) -> IdempotentElement:
-        return cls(matrix, exact_rank(matrix))
+        # The constructor proves e*e = e before it reads the rank, so the trace is the rank.
+        return cls(matrix, int(matrix.trace()))
 
 
 def _below(bits, m: int) -> int:
@@ -513,7 +520,8 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     The same eliminations give the inverse.  A row of C, e's reduced echelon
     rows over their pivots, combines rows of e, so C e = C; with e B = B for
     e's pivot columns B, C B = I_r and C (1 - e) = 0.  Likewise for 1 - e and
-    its own C, so the two stacked are the inverse of the basis.
+    its own C, so the two stacked are the inverse of the basis, the one product
+    checked: e times the basis is [B | 0], so the inverse diagonalizes e.
     """
     if e.rank == 0:
         raise ZeroIdempotentError("the zero idempotent cuts out the zero corner")
@@ -532,8 +540,8 @@ def corner_isomorphism(e: IdempotentElement) -> CornerIsomorphism:
     to_diag = MatrixStage._trusted(
         [[Fraction(x, row[c]) if x else 0 for x in row] for row, c in pivoted]
     )
-    if to_diag * e.matrix * basis != MatrixStage.rank_projector(n, r):
-        raise RuntimeError("change of basis failed to diagonalize the idempotent")
+    if to_diag * basis != MatrixStage.identity(n):
+        raise RuntimeError("change of basis failed to invert")
     return CornerIsomorphism(rank=r, to_diagonal=to_diag, from_diagonal=basis)
 
 
@@ -554,16 +562,16 @@ def corner_span_dimension(e: IdempotentElement | MatrixStage) -> int:
     return len(_echelon(rows)[1])
 
 
-def is_full_idempotent(e: IdempotentElement, cap: int = FULLNESS_ORDER_CAP) -> bool:
+def is_full_idempotent(e: IdempotentElement) -> bool:
     """Whether the two-sided span {x e y : x, y matrix units} is all of M_n.
 
     In a simple matrix algebra this holds exactly when e is nonzero; the
-    check here computes the span anyway.  Orders above ``cap`` raise
-    SpanCapExceededError (the span computation is n**4 in the order).
+    check here computes the span anyway.  Orders above ``FULLNESS_ORDER_CAP``
+    raise SpanCapExceededError (the span computation is n**4 in the order).
     """
     n = e.stage_order
-    if n > cap:
-        raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {_shown(cap)}")
+    if n > FULLNESS_ORDER_CAP:
+        raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {FULLNESS_ORDER_CAP}")
     # E_ij e E_kl = e[j][k] E_il: for a fixed (i, l) these are parallel, so
     # one row per (i, l), from any nonzero entry v of e, spans the same space.
     v = next((x for row in e.matrix.entries for x in row if x), 0)
@@ -626,7 +634,10 @@ class VerificationReport:
         return "\n".join(c.render() for c in self.checks)
 
     def prefixed(self, prefix: str) -> VerificationReport:
-        checks = [replace(c, name=f"{prefix}.{c.name}") for c in self.checks]
+        checks = [
+            CheckLine(f"{prefix}.{c.name}", c.stage, c.expected, c.got, c.passed)
+            for c in self.checks
+        ]
         return VerificationReport(tuple(checks))
 
     @staticmethod
@@ -726,18 +737,12 @@ def proper_corner_witness(m: int, n: int, stage_order: int) -> VerificationRepor
     return VerificationReport(tuple(checks))
 
 
-def sample_tower(
-    rng: random.Random,
-    max_first: int = 24,
-    max_depth: int = 3,
-    max_multiplicity: int = 4,
-    max_order: int = RANK_ORDER_CAP,
-) -> Tower:
-    """Draw a random divisibility chain within the given caps."""
-    first = rng.randint(2, max(2, min(max_first, max_order)))
+def sample_tower(rng: random.Random, max_order: int = RANK_ORDER_CAP) -> Tower:
+    """Draw a random divisibility chain within the module's limits and max_order."""
+    first = rng.randint(2, max(2, min(_MAX_FIRST, max_order)))
     orders = [first]
-    for _ in range(rng.randint(1, max_depth) - 1):
-        k = rng.randint(2, max_multiplicity)
+    for _ in range(rng.randint(1, _MAX_DEPTH) - 1):
+        k = rng.randint(2, _MAX_MULTIPLICITY)
         if orders[-1] * k > max_order:
             break
         orders.append(orders[-1] * k)

@@ -111,9 +111,7 @@ def test_criterion_3_corner_scaling_on_seeded_towers(capsys):
     start = time.perf_counter()
     failures = 0
     for _ in range(100):
-        tower = sample_tower(
-            rng, max_first=24, max_depth=3, max_multiplicity=4, max_order=96
-        )
+        tower = sample_tower(rng, max_order=96)
         r = sample_relative_rank(rng, tower.orders[0])
         pattern = rng.choice(_TOWER_PATTERNS)
         if pattern is None:

@@ -36,7 +36,7 @@ from steinitz import (
     scale,
 )
 from steinitz import primes, supernatural
-from helpers import OUTSIDE_PRIME, pointwise_exponents, supernaturals
+from helpers import OUTSIDE_PRIME, _primes_below, pointwise_exponents, supernaturals
 
 naturals = st.integers(min_value=1, max_value=10_000)
 
@@ -46,7 +46,8 @@ class TestInfinity:
         assert INF + 5 == INF
         assert 5 + INF == INF
         assert INF + INF == INF
-        assert INF - 3 == INF
+        with pytest.raises(TypeError):
+            INF - 3
 
     def test_subtracting_from_int_is_an_error(self):
         with pytest.raises(TypeError):
@@ -171,6 +172,23 @@ class TestExponentAt:
     def test_requires_prime(self):
         with pytest.raises(NotPrimeError):
             exponent_at(ONE, 6)
+        with pytest.raises(NotPrimeError):
+            exponent_at(SupernaturalNumber(0, {2: 1, 3: INF}), 4)
+
+    def test_bisection_matches_a_dict_lookup(self):
+        """Seeded supports of up to 4000 primes, queried at listed and absent primes."""
+        pool = _primes_below(45_000)
+        rng = random.Random(4000)
+        for size in (0, 1, 2, 3, 10, 100, 1000, 4000):
+            for default in (0, 1, 7, INF):
+                keys = rng.sample(pool, size)
+                exps = [INF if rng.random() < 0.2 else rng.randint(0, 9) for _ in keys]
+                s = SupernaturalNumber(default, dict(zip(keys, exps)))
+                table = dict(s.exceptions)
+                queries = rng.sample(pool, min(300, len(pool))) + keys[:300]
+                queries += [pool[0], pool[-1], 2**61 - 1]
+                for p in queries:
+                    assert exponent_at(s, p) == table.get(p, s.default_exp), (size, p)
 
 
 class TestLatticeLaws:

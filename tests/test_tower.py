@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import math
 import random
 import re
@@ -716,7 +717,6 @@ class TestCornerSpanAndFullness:
         e = random_idempotent(7, 1, seed=4)
         with pytest.raises(SpanCapExceededError):
             is_full_idempotent(e)
-        assert is_full_idempotent(e, cap=7)
 
 
 class TestFullnessRows:
@@ -753,6 +753,108 @@ class TestFullnessRows:
                 full = is_full_idempotent(e)
                 assert sizes == [n * n if r else 0], (n, r)
                 assert full == (gauss_rank(self.old_rows(e)) == n * n), (n, r)
+
+
+class TestTowerContract:
+    """One idempotent contract and one set of tower limits, decided in ``tower``."""
+
+    @pytest.mark.parametrize(
+        "rank", [3, 1, True, F(2), 2.0, "2", None, 10**5000],
+        ids=["3", "1", "True", "Fraction", "float", "str", "None", "huge"],
+    )
+    def test_rank_must_be_the_int_trace(self, rank):
+        with pytest.raises(InvalidArgumentError, match="rank must be the int trace 2"):
+            IdempotentElement(MatrixStage.rank_projector(4, 2), rank)
+
+    def test_rank_equal_to_the_trace_accepted(self):
+        half = F(1, 2)
+        e = IdempotentElement(MatrixStage([[half, half], [half, half]]), 1)
+        assert (e.rank, e.relative_rank) == (1, F(1, 2))
+        assert IdempotentElement(MatrixStage.rank_projector(4, 2), 2).rank == 2
+
+    def test_no_public_idempotent_breaks_the_corner_map(self):
+        """A corner map of any idempotent that can be built raises no RuntimeError."""
+        rng = random.Random(3003)
+        cases = [e for e, _ in _corner_cases()]
+        for n in range(1, 7):
+            for r in range(n + 1):
+                cases.append(IdempotentElement(MatrixStage.rank_projector(n, r), r))
+                q = random_matrix(rng, n)
+                q_inv = gauss_inverse(q.entries)
+                if q_inv is not None:
+                    m = q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)
+                    cases.append(IdempotentElement(m, r))
+        for e in cases:
+            if e.rank == 0:
+                with pytest.raises(ZeroIdempotentError):
+                    corner_isomorphism(e)
+                continue
+            iso = corner_isomorphism(e)
+            assert iso.apply(e.matrix) == MatrixStage.identity(e.rank)
+
+    def test_no_call_moves_a_tower_cap(self):
+        assert list(inspect.signature(is_full_idempotent).parameters) == ["e"]
+        assert list(inspect.signature(tower.sample_tower).parameters) == ["rng", "max_order"]
+        assert tower.MAX_STAGE_ORDER == 384
+
+    def test_sampled_towers_stay_within_the_stage_cap(self):
+        for max_order in (2, 96, 384, 10**6):
+            rng = random.Random(max_order)
+            for _ in range(500):
+                t = tower.sample_tower(rng, max_order=max_order)
+                assert t.top_order <= min(max(max_order, 2), tower.MAX_STAGE_ORDER)
+
+    def test_sampled_stream_unchanged(self):
+        """The same draws as the former (24, 3, 4) defaults of sample_tower."""
+
+        def reference(rng, max_order):
+            orders = [rng.randint(2, max(2, min(24, max_order)))]
+            for _ in range(rng.randint(1, 3) - 1):
+                k = rng.randint(2, 4)
+                if orders[-1] * k > max_order:
+                    break
+                orders.append(orders[-1] * k)
+            return tuple(orders)
+
+        for max_order in (2, 7, 96, 10**6):
+            ours, theirs = random.Random(max_order), random.Random(max_order)
+            for _ in range(300):
+                assert tower.sample_tower(ours, max_order).orders == reference(theirs, max_order)
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_verification_above_the_stage_cap_passes(self, seed):
+        report = run_verification(seed, max_order=10**6, trials=20)
+        assert report.all_passed
+        assert report.render() == run_verification(seed, max_order=384, trials=20).render()
+
+    def test_from_matrix_runs_no_elimination(self, monkeypatch):
+        calls = []
+        echelon = tower._echelon
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return echelon(*args, **kwargs)
+
+        monkeypatch.setattr(tower, "_echelon", counting)
+        for e, _ in _corner_cases():
+            assert IdempotentElement.from_matrix(e.matrix) == e
+        assert calls == []
+
+    def test_corner_isomorphism_makes_one_stage_product(self, monkeypatch):
+        cases = [e for e, _ in _corner_cases()]
+        calls = []
+        mul = MatrixStage.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(MatrixStage, "__mul__", counting)
+        for e in cases:
+            calls.clear()
+            corner_isomorphism(e)
+            assert len(calls) == 1, (e.stage_order, e.rank)
 
 
 class TestTower:
