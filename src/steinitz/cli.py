@@ -11,13 +11,18 @@ Each command is one row of ``_COMMANDS``: help, arguments, a call that
 computes the result and one of five printers that map it to stdout and an
 exit code.  The calls reach library functions through this module's
 globals at run time, so a function replaced here is the one called.
+
+The parser is built on the first call of :func:`main` and reused by every
+later one.  It holds no per-call state: each call parses into a fresh
+namespace, and argparse reads the help width (``COLUMNS``) and
+``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 from .errors import SteinitzError
 from .morita import (
@@ -150,7 +155,9 @@ _ARGUMENTS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of this process: built on first use, then reused by every call of main."""
     parser = argparse.ArgumentParser(
         prog="steinitz",
         description="Exact Steinitz-number calculus for locally matrix algebras.",

@@ -149,8 +149,8 @@ class MatrixStage:
     def rank_projector(cls, n: int, r: int) -> MatrixStage:
         """diag(1, .., 1, 0, .., 0) with r ones."""
         _check_stage_order(n)
-        if not 0 <= r <= n:
-            got = f"got r={_shown(r)}, n={_shown(n)}"
+        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
+            got = f"got r={_shown(r) if isinstance(r, int) else repr(r)}, n={_shown(n)}"
             raise InvalidArgumentError(f"projector rank must satisfy 0 <= r <= n, {got}")
         return cls.diagonal([1] * r + [0] * (n - r))
 
@@ -186,7 +186,9 @@ class MatrixStage:
 
 
 def _check_stage_order(n: int) -> None:
-    """Refuse a requested or resulting stage order above MAX_STAGE_ORDER, before allocating."""
+    """Refuse a non-int order, or one above MAX_STAGE_ORDER, before allocating."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidArgumentError(f"stage order must be an int, got {n!r}")
     if n > MAX_STAGE_ORDER:
         raise InvalidArgumentError(f"stage order {_shown(n)} exceeds the cap {MAX_STAGE_ORDER}")
 
