@@ -17,9 +17,10 @@ the way and so never reuses a freed tuple of its final size, yet it is kept
 for reuse when freed, and those kept tuples raised the resident memory of
 verify runs.  The builders that take an order (``identity``, ``zero``,
 ``rank_projector``, ``diagonal``, ``random_idempotent``) and ``embed``/``kron``
-refuse an order above ``MAX_STAGE_ORDER`` before allocating anything.  Every
-such limit is a module constant that no call can raise, and an
-``IdempotentElement`` proves e*e = e and rank = tr(e) when it is built.
+refuse an order or rank that is not an ``int`` (or is a ``bool``), and an order
+above ``MAX_STAGE_ORDER``, before allocating anything.  Every such limit is a
+module constant that no call can raise, and an ``IdempotentElement`` proves
+e*e = e and rank = tr(e) when it is built.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -447,10 +448,32 @@ class TestErrorContract:
             lambda: SupernaturalNumber(0, [(2, 1), (2, 3)]),
             lambda: run_verification(0, trials="5"),
             lambda: run_verification(0, max_order=96.0),
+            # Stage builders take int orders and ranks only: no float, bool or Fraction.
+            lambda: MatrixStage.rank_projector(3, 1.5),
+            lambda: MatrixStage.rank_projector(3.0, 1),
+            lambda: MatrixStage.rank_projector(3, True),
+            lambda: MatrixStage.rank_projector(3, Fraction(1)),
+            lambda: MatrixStage.zero(2.0),
+            lambda: MatrixStage.zero(False),
+            lambda: MatrixStage.identity(True),
+            lambda: MatrixStage.identity(Fraction(2)),
+            lambda: MatrixStage.identity("2"),
         ):
             with pytest.raises(InvalidArgumentError) as exc:
                 call()
             assert isinstance(exc.value, ValueError)
+        # Int orders and ranks out of range keep their messages.
+        for call, message in (
+            (lambda: MatrixStage.identity(0), "matrix must be square and nonempty"),
+            (lambda: MatrixStage.zero(-1), "matrix must be square and nonempty"),
+            (lambda: MatrixStage.rank_projector(0, 0), "matrix must be square and nonempty"),
+            (lambda: MatrixStage.rank_projector(3, 4),
+             "projector rank must satisfy 0 <= r <= n, got r=4, n=3"),
+            (lambda: MatrixStage.rank_projector(3, -1),
+             "projector rank must satisfy 0 <= r <= n, got r=-1, n=3"),
+        ):
+            with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+                call()
         # A requested or resulting stage order above the cap is refused before any allocation.
         cap, huge = MAX_STAGE_ORDER, 10**5000
         for call, shown in (
@@ -524,6 +547,24 @@ class TestPackageRoot:
             "print(sorted(m for m in ('steinitz.cli', 'argparse') if m in sys.modules))"
         )
         assert _run_python("-c", code) == "[]\n"
+
+    def test_import_of_the_cli_builds_no_parser(self):
+        """The parser is built by the first main call, not by the import."""
+        code = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import steinitz.cli\n"
+            "print(len(built), steinitz.cli._build_parser.cache_info().currsize)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    steinitz.cli.main(['parse', '2'])\n"
+            "print(len(built))\n"
+        )
+        assert _run_python("-c", code) == f"0 0\n{1 + len(cli._COMMANDS)}\n"
 
     def test_cli_still_reachable(self):
         code = "import steinitz; print(steinitz.cli.main.__module__)"
@@ -693,6 +734,20 @@ class TestMainOutputs:
         main(["--trial-bound", "100", "parse", "2"])
         capsys.readouterr()
         assert get_default_trial_bound() == before
+        # The same on the reused parser after a usage error and after --help,
+        # and a later call without the flag parses into a namespace without it:
+        # 1022117 = 1009 * 1013 factors only under the default bound.
+        for argv, code in (
+            (["--trial-bound", "100", "not-a-command"], 2),
+            (["--trial-bound", "100", "divides", "2"], 2),
+            (["--trial-bound", "100", "--help"], 0),
+            (["--trial-bound", "100", "decompose", "--help"], 0),
+            (["--trial-bound", "100", "decompose", "rest^inf", "1022117"], 2),
+        ):
+            assert main(argv) == code, argv
+            assert get_default_trial_bound() == before, argv
+            assert main(["decompose", "rest^inf", "1022117"]) == 0, argv
+            assert capsys.readouterr().out.endswith("rest^inf\n"), argv
 
 
 _HUGE = "9" * 5000
@@ -807,3 +862,72 @@ def test_cli_text_pinned(monkeypatch, capsys, argv, code, out_sha, err_sha):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (_sha16(captured.out), _sha16(captured.err)) == (out_sha, err_sha)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaves state in it."""
+
+    def test_one_build_across_mixed_calls(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def broken(text):
+            raise ValueError("internal")
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        mix = [
+            (["parse", "3 * 2^inf"], 0),
+            (["divides", "2^inf", "2^2"], 1),
+            (["not-a-command"], 2),  # usage error: argparse exits
+            (["divides", "2"], 2),
+            (["--help"], 0),  # help: argparse exits with status 0
+            (["corner", "--help"], 0),
+            (["--trial-bound", "100", "decompose", "rest^inf", "1022117"], 2),  # SteinitzError
+            (["--trial-bound", "2000", "decompose", "rest^inf", "1022117"], 0),
+            (["parse", "4^2"], 2),
+            (["enumerate", "2*3^2*5", "20"], 0),
+        ]
+        for _ in range(5):  # 55 calls
+            for argv, code in mix:
+                assert main(argv) == code, argv
+            # A library function replaced in cli is the one the reused parser's call reaches.
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_steinitz", broken)
+                with pytest.raises(ValueError, match="internal"):
+                    main(["parse", "2"])
+        assert len(built) == 1 + len(cli._COMMANDS)  # the root parser and one per command
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_corpus_forward_and_reversed_in_one_process(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def digests(corpus):
+            seen = []
+            for argv, *_ in corpus:
+                code = main(argv)
+                captured = capsys.readouterr()
+                seen.append((code, _sha16(captured.out), _sha16(captured.err)))
+            return seen
+
+        forward = digests(CLI_PINNED)
+        assert forward == [(code, out, err) for _, code, out, err in CLI_PINNED]
+        assert digests(CLI_PINNED[::-1])[::-1] == forward
+
+    def test_help_width_is_read_when_help_is_printed(self, monkeypatch, capsys):
+        main(["parse", "2"])
+        capsys.readouterr()
+        helps = {}
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(["--help"]) == 0
+            helps[columns] = capsys.readouterr().out
+            # The same text as a parser built under this width.
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(["--help"])
+            assert capsys.readouterr().out == helps[columns]
+        assert helps["40"] != helps["120"]
