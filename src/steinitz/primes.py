@@ -17,6 +17,7 @@ prime.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
 
 from .errors import FactorizationError, InvalidArgumentError, _check_positive_int, _shown
@@ -52,7 +53,6 @@ _RHO_BATCH = 128
 #: rarely covers anyway.
 _RHO_MAX_BITS = 256
 
-_small_primes_cache: list[int] | None = None
 _default_trial_bound = DEFAULT_TRIAL_BOUND
 
 
@@ -79,16 +79,15 @@ def get_default_trial_bound() -> int:
     return _default_trial_bound
 
 
+@cache
 def _small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        sieve = bytearray([1]) * _SIEVE_LIMIT
-        sieve[0] = sieve[1] = 0
-        for p in range(2, int(_SIEVE_LIMIT**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _small_primes_cache = [p for p in range(_SIEVE_LIMIT) if sieve[p]]
-    return _small_primes_cache
+    """The primes below _SIEVE_LIMIT, sieved on the first call (not on import)."""
+    sieve = bytearray([1]) * _SIEVE_LIMIT
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(_SIEVE_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(_SIEVE_LIMIT) if sieve[p]]
 
 
 def is_prime(n: int) -> bool:

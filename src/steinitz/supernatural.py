@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,7 @@ class Infinity:
         return NotImplemented
 
     def __hash__(self):
-        return hash(float("inf"))
+        return sys.hash_info.inf
 
     def __repr__(self):
         return "INF"

@@ -18,9 +18,13 @@ for reuse when freed, and those kept tuples raised the resident memory of
 verify runs.  The builders that take an order (``identity``, ``zero``,
 ``rank_projector``, ``diagonal``, ``random_idempotent``) and ``embed``/``kron``
 refuse an order or rank that is not an ``int`` (or is a ``bool``), and an order
-above ``MAX_STAGE_ORDER``, before allocating anything.  Every such limit is a
-module constant that no call can raise, and an ``IdempotentElement`` proves
-e*e = e and rank = tr(e) when it is built.
+above ``MAX_STAGE_ORDER``, before allocating anything.  The stage, span,
+fullness and trial limits are module constants that no call can raise; the
+one cap a call can move is the rank cap of ``verify_corner_scaling``
+(``rank_order_cap``, default ``RANK_ORDER_CAP``), and even a raised rank cap
+leaves every stage order under ``MAX_STAGE_ORDER``.  An ``IdempotentElement``
+proves e*e = e when it is built and reads its rank off the trace, which is
+the rank of an idempotent over the rationals.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Sequence
@@ -80,9 +84,6 @@ MAX_STAGE_ORDER = _MAX_FIRST * _MAX_MULTIPLICITY ** (_MAX_DEPTH - 1)
 
 _UNIMODULAR_ENTRY_BOUND = 3
 _SHEAR_FACTORS = (-2, -1, 1, 2)
-#: Largest population ``random.Random.sample`` draws two from through its
-#: pool branch; above it, the set branch.
-_SAMPLE_POOL_MAX = 21
 _INT_ONLY = {int}
 
 
@@ -358,18 +359,19 @@ def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
 
 @dataclass(frozen=True)
 class IdempotentElement:
-    """An exact idempotent e at one matrix stage; construction proves e*e = e and rank = tr(e)."""
+    """An exact idempotent e at one matrix stage; construction proves e*e = e.
+
+    Its ``rank`` is read off the matrix: over the rationals the rank of an
+    idempotent is its trace, so no elimination is run.
+    """
 
     matrix: MatrixStage
-    rank: int
+    rank: int = field(init=False)
 
     def __post_init__(self):
         if self.matrix * self.matrix != self.matrix:
             raise InvalidArgumentError("matrix is not idempotent")
-        trace, rank = self.matrix.trace(), self.rank
-        if type(rank) is not int or rank != trace:
-            got = f"{type(rank).__name__} {_shown(rank)}"
-            raise InvalidArgumentError(f"rank must be the int trace {_shown(trace)}, got {got}")
+        object.__setattr__(self, "rank", int(self.matrix.trace()))
 
     @property
     def stage_order(self) -> int:
@@ -378,11 +380,6 @@ class IdempotentElement:
     @property
     def relative_rank(self) -> Fraction:
         return Fraction(self.rank, self.stage_order)
-
-    @classmethod
-    def from_matrix(cls, matrix: MatrixStage) -> IdempotentElement:
-        # The constructor proves e*e = e before it reads the rank, so the trace is the rank.
-        return cls(matrix, int(matrix.trace()))
 
 
 def _below(bits, m: int) -> int:
@@ -410,35 +407,23 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
     a shear is one list comprehension over two rows.  It is transposed back
     once at the end.
 
-    The draws read ``rng.getrandbits`` directly, through ``_below``, and take
-    exactly the values, and leave exactly the state, of the calls they
-    replace, which fix every seeded idempotent and so the verify text:
-    ``randrange(4)`` is ``_below(bits, 4)``; ``choice`` of the four shear
-    factors indexes them by ``_below(bits, 4)``; ``sample(range(n), 2)`` is
-    ``i = _below(bits, n)`` and then, as in ``sample``'s pool branch for
-    n <= 21, ``j = _below(bits, n - 1)`` with n - 1 in place of i, or, as in
-    its set branch above 21, ``_below(bits, n)`` drawn again while it is i.
-    Checked on CPython 3.10 to 3.13 (rows, inverse and the state after the
-    call); a test compares it with the ``randrange``/``sample``/``choice``
-    loop, so a release that changes either rule fails loudly.
+    The draws read ``rng.getrandbits`` directly, through ``_below``: a
+    sign-swap is ``_below(bits, 4) == 3``, a shear factor indexes the four
+    factors by ``_below(bits, 4)``, and the pair of distinct rows is
+    ``i = _below(bits, n)`` and ``j = _below(bits, n - 1)``, with n - 1 in
+    place of i, which is uniform over the ordered pairs.
     """
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     inv_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     bound = _UNIMODULAR_ENTRY_BOUND
     if n > 1:
         bits = rng.getrandbits
-        pooled = n <= _SAMPLE_POOL_MAX
         for _ in range(6 * n):
             swap = _below(bits, 4) == 3
             i = _below(bits, n)
-            if pooled:
-                j = _below(bits, n - 1)
-                if j == i:
-                    j = n - 1
-            else:
-                j = _below(bits, n)
-                while j == i:
-                    j = _below(bits, n)
+            j = _below(bits, n - 1)
+            if j == i:
+                j = n - 1
             if swap:
                 mat[i], mat[j] = mat[j], mat[i]
                 mat[i] = [-x for x in mat[i]]
@@ -473,10 +458,11 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
         e = MatrixStage._trusted(_matmul_rows([row[:r] for row in p], p_inv[:r]))
     else:
         e = MatrixStage.zero(n)
-    # rank(e) = tr(e) for an idempotent: a self-check beside e * e = e.
-    if e.trace() != r:
+    # The constructor proves e * e = e and reads the rank off the trace.
+    element = IdempotentElement(e)
+    if element.rank != r:
         raise RuntimeError("seeded idempotent has a trace other than its rank")
-    return IdempotentElement(e, r)
+    return element
 
 
 @dataclass(frozen=True)

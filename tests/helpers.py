@@ -76,35 +76,6 @@ def gauss_inverse(rows):
     return [row[n:] for row in m]
 
 
-def unimodular_oracle(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
-    """The ``randrange``/``sample``/``choice`` loop that ``tower._unimodular`` replaced.
-
-    Kept as it was, so that the ``getrandbits`` draws are checked against
-    the calls they reproduce: same rows, same inverse, same RNG state after.
-    It leaves out the P P^-1 = I self-check, which stays in ``tower._unimodular``.
-    """
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    bound = 3  # the tower's entry bound
-    if n > 1:
-        for _ in range(6 * n):
-            if rng.randrange(4) == 3:
-                i, j = rng.sample(range(n), 2)
-                mat[i], mat[j] = mat[j], mat[i]
-                mat[i] = [-x for x in mat[i]]
-                inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
-                inv_t[i] = [-x for x in inv_t[i]]
-            else:
-                i, j = rng.sample(range(n), 2)
-                c = rng.choice((-2, -1, 1, 2))
-                new_row = [x + c * y for x, y in zip(mat[j], mat[i])]
-                if -bound <= min(new_row) and max(new_row) <= bound:
-                    mat[j] = new_row
-                    inv_t[i] = [x - c * y for x, y in zip(inv_t[i], inv_t[j])]
-    inv = [[col[k] for col in inv_t] for k in range(n)]
-    return mat, inv
-
-
 def plain_product(a, b):
     """Textbook triple-loop product of row lists of ints and Fractions, m x k by k x n."""
     return [

@@ -43,7 +43,7 @@ from steinitz import (
     scale,
     verify_corner_scaling,
 )
-from steinitz import cli
+from steinitz import cli, tower
 from steinitz.cli import main
 from steinitz.tower import MAX_STAGE_ORDER, IdempotentElement, MatrixStage
 from steinitz.primes import set_default_trial_bound
@@ -434,8 +434,7 @@ class TestErrorContract:
             lambda: MatrixStage.rank_projector(3, 4),
             lambda: MatrixStage.identity(2) + MatrixStage.identity(3),
             lambda: MatrixStage.identity(2) * MatrixStage.identity(3),
-            lambda: IdempotentElement(MatrixStage([[2, 0], [0, 1]]), 1),
-            lambda: IdempotentElement(MatrixStage.identity(2), 3),
+            lambda: IdempotentElement(MatrixStage([[2, 0], [0, 1]])),
             lambda: random_idempotent(3, 4, 1),
             lambda: corner_isomorphism(random_idempotent(4, 2, 9)).apply(MatrixStage.identity(3)),
             lambda: corner_isomorphism(random_idempotent(4, 2, 9)).lift(MatrixStage.identity(3)),
@@ -547,6 +546,16 @@ class TestPackageRoot:
             "print(sorted(m for m in ('steinitz.cli', 'argparse') if m in sys.modules))"
         )
         assert _run_python("-c", code) == "[]\n"
+
+    def test_import_builds_no_sieve(self):
+        """The small-prime sieve is built by the first factorization, not by the import."""
+        code = (
+            "import steinitz; from steinitz import primes; "
+            "print(primes._small_primes.cache_info().currsize); "
+            "steinitz.factorize(12); "
+            "print(primes._small_primes.cache_info().currsize)"
+        )
+        assert _run_python("-c", code) == "0\n1\n"
 
     def test_import_of_the_cli_builds_no_parser(self):
         """The parser is built by the first main call, not by the import."""
@@ -666,6 +675,20 @@ class TestMainOutputs:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_verify_text_pinned(self, capsys, seed):
+        argv = ["verify", "--seed", str(seed), "--max-order", "96", "--trials", "20"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.VERIFY_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verify_text_depends_only_on_ranks(self, capsys, monkeypatch, seed):
+        """With P = I every seeded idempotent is a rank projector, and the text is the same."""
+
+        def identity_pair(n, rng):
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            return eye, [row[:] for row in eye]
+
+        monkeypatch.setattr(tower, "_unimodular", identity_pair)
         argv = ["verify", "--seed", str(seed), "--max-order", "96", "--trials", "20"]
         assert main(argv) == 0
         out = capsys.readouterr().out.encode()

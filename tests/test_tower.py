@@ -47,7 +47,6 @@ from helpers import (
     plain_product,
     random_low_rank_matrix,
     random_matrix,
-    unimodular_oracle,
 )
 
 F = Fraction
@@ -153,7 +152,7 @@ class TestEntryContract:
             MatrixStage.diagonal([1, bad])
 
     def test_from_matrix_derives_order_and_relative_rank(self):
-        e = IdempotentElement.from_matrix(MatrixStage.rank_projector(6, 4))
+        e = IdempotentElement(MatrixStage.rank_projector(6, 4))
         assert (e.rank, e.stage_order, e.relative_rank) == (4, 6, F(2, 3))
         assert _all_int(e.matrix)
         r = random_idempotent(9, 6, seed=2)
@@ -161,11 +160,9 @@ class TestEntryContract:
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError):
-            IdempotentElement.from_matrix(MatrixStage([[2, 0], [0, 1]]))
+            IdempotentElement(MatrixStage([[2, 0], [0, 1]]))
         with pytest.raises(ValueError):
-            IdempotentElement(MatrixStage([[1, 1], [0, 0]]) * 2, 1)
-        with pytest.raises(ValueError):
-            IdempotentElement(MatrixStage.identity(2), 3)
+            IdempotentElement(MatrixStage([[1, 1], [0, 0]]) * 2)
 
     def test_no_tuple_built_from_a_generator(self):
         """The package builds every tuple from a list, never from a generator.
@@ -203,6 +200,21 @@ class TestEntryContract:
             and getattr(node.exc, "func", node.exc).id == "ValueError"
         ]
         assert offenders == [], f"raise ValueError at {offenders}"
+
+    def test_no_floating_point_in_the_package(self):
+        """No float constant and no float(...) call anywhere in the package."""
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(tower.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+            or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+        ]
+        assert offenders == [], f"floating point at {offenders}"
 
 
 class TestExactRank:
@@ -319,10 +331,10 @@ class TestRandomIdempotent:
             random_idempotent(5, r, seed=3)
 
     def test_from_matrix_validates(self):
-        e = IdempotentElement.from_matrix(MatrixStage.rank_projector(4, 2))
+        e = IdempotentElement(MatrixStage.rank_projector(4, 2))
         assert (e.rank, e.stage_order) == (2, 4)
         with pytest.raises(ValueError):
-            IdempotentElement.from_matrix(MatrixStage([[1, 1], [0, 1]]))
+            IdempotentElement(MatrixStage([[1, 1], [0, 1]]))
 
 
 class TestCornerIsomorphism:
@@ -373,9 +385,7 @@ class TestCornerIsomorphism:
             while q_inv is None:
                 q = random_matrix(rng, n)
                 q_inv = gauss_inverse(q.entries)
-            e = IdempotentElement.from_matrix(
-                q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)
-            )
+            e = IdempotentElement(q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv))
             assert e.rank == r
             non_integer += any(x.denominator > 1 for row in e.matrix.entries for x in row)
             iso = corner_isomorphism(e)
@@ -440,9 +450,7 @@ def _corner_cases():
         while q_inv is None:
             q = random_matrix(rng, n)
             q_inv = gauss_inverse(q.entries)
-        yield IdempotentElement.from_matrix(
-            q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)
-        ), rng
+        yield IdempotentElement(q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)), rng
 
 
 def _rows(m: MatrixStage) -> list[list]:
@@ -492,16 +500,50 @@ class TestRandomIdempotentOracle:
                 assert _all_int(e.matrix)
 
 
-class TestUnimodularPinned:
-    def test_rows_are_pinned(self):
-        """The shears, their order and the RNG stream behind every seeded idempotent."""
-        text = repr([tower._unimodular(n, random.Random(7 * n)) for n in range(1, 30)])
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "3f5c6e66b659ba9c14ae6fe40e522c4dc08f9c15299c34a10010d15bf6cbd736"
+class TestDerivedRank:
+    """The rank an idempotent reads off its trace against plain Gaussian elimination."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(1414)
+        # Seeded idempotents at every order across 21/22, where the pair rule
+        # was once split, and at the verify cap and the stage cap.
+        for n in range(1, 41):
+            for r in sorted({0, 1, n // 2, n - 1, n}):
+                yield random_idempotent(n, r, rng.randrange(2**32))
+        for n, ranks in ((96, (0, 1, 2, 95, 96)), (384, (383,))):
+            for r in ranks:
+                yield random_idempotent(n, r, rng.randrange(2**32))
+        for n in range(1, 13):
+            for r in range(n + 1):
+                yield IdempotentElement(MatrixStage.rank_projector(n, r))
+        conjugates = 0
+        while conjugates < 150:
+            n = rng.randint(1, 7)
+            q = random_matrix(rng, n)
+            q_inv = gauss_inverse(q.entries)
+            if q_inv is not None:
+                p = MatrixStage.rank_projector(n, rng.randint(0, n))
+                yield IdempotentElement(q * p * MatrixStage(q_inv))
+                conjugates += 1
+        for _ in range(40):
+            a = random_idempotent(rng.randint(1, 6), 0, rng.randrange(2**32))
+            a = random_idempotent(a.stage_order, rng.randint(0, a.stage_order), rng.randrange(2**32))
+            b = IdempotentElement(MatrixStage.rank_projector(3, rng.randint(0, 3)))
+            yield IdempotentElement(embed(a.matrix, rng.randint(1, 4)))
+            yield IdempotentElement(kron(a.matrix, b.matrix))
+
+    def test_rank_is_the_gauss_rank(self):
+        count = 0
+        for e in self.cases():
+            assert type(e.rank) is int
+            assert e.rank == gauss_rank(e.matrix.entries), (e.stage_order, e.rank)
+            count += 1
+        assert count >= 500
 
 
-class _CountingRandom(random.Random):
-    """A Random that counts its getrandbits calls.
+class _DirectRandom(random.Random):
+    """A Random that counts its getrandbits calls and refuses every other draw.
 
     Overriding getrandbits keeps ``_randbelow_with_getrandbits``, so the
     stream is that of ``random.Random`` with the same seed.
@@ -515,38 +557,33 @@ class _CountingRandom(random.Random):
         self.calls += 1
         return super().getrandbits(k)
 
-
-class _DirectRandom(_CountingRandom):
-    """A counting Random that refuses the draws ``_unimodular`` no longer makes."""
-
     def _refused(self, *args, **kwargs):
         raise AssertionError("_unimodular must draw through getrandbits only")
 
     sample = randrange = choice = _refused
 
 
-class TestUnimodularOracle:
-    """``_unimodular``'s getrandbits draws against the randrange/sample/choice loop."""
+class TestUnimodularPinned:
+    def test_rows_are_pinned(self):
+        """The shears, their order and the RNG stream behind every seeded idempotent."""
 
-    # Every n across sample's pool/set boundary at 21/22, every 8th n up to
-    # the verify cap, and the largest stage order once.
-    SIZES = [(n, 4) for n in range(1, 41)] + [(n, 4) for n in range(48, 97, 8)] + [(384, 1)]
+        def digest(orders):
+            text = repr([tower._unimodular(n, random.Random(7 * n)) for n in orders])
+            return hashlib.sha256(text.encode()).hexdigest()
 
-    def test_rows_inverse_and_state_match_the_oracle(self):
-        rng = random.Random(4242)
-        for n, seeds in self.SIZES:
-            for _ in range(seeds):
-                s = rng.randrange(2**32)
-                got_rng, want_rng = random.Random(s), random.Random(s)
-                assert tower._unimodular(n, got_rng) == unimodular_oracle(n, want_rng), (n, s)
-                assert got_rng.getstate() == want_rng.getstate(), (n, s)
+        # Orders up to 21 draw as before one pair rule served every order.
+        assert digest(range(1, 22)) == (
+            "83f66689752a47183ba075a0440f7d09e7c7bf8c2024af70c8b97f44946a1bb4"
+        )
+        assert digest(range(1, 30)) == (
+            "1aa19cfe7f99ae5c0f092043ed67ca987e78f85f90ab724caf18ca025a8a6cf8"
+        )
 
-    def test_draws_only_getrandbits_as_often_as_the_oracle(self):
+    def test_draws_only_getrandbits(self):
         for n in (1, 2, 3, 5, 21, 22, 40, 96):
             for s in (0, 1, 2**31 + n):
-                direct, oracle = _DirectRandom(s), _CountingRandom(s)
-                assert tower._unimodular(n, direct) == unimodular_oracle(n, oracle)
-                assert direct.calls == oracle.calls, (n, s)
+                direct = _DirectRandom(s)
+                assert tower._unimodular(n, direct) == tower._unimodular(n, random.Random(s))
                 assert (direct.calls > 0) == (n > 1)
 
 
@@ -639,7 +676,7 @@ class TestComplexityGuard:
         assert run_verification(7, 96, 20).all_passed
         assert calls == []
         half = F(1, 2)
-        corner_isomorphism(IdempotentElement.from_matrix(MatrixStage([[half, half], [half, half]])))
+        corner_isomorphism(IdempotentElement(MatrixStage([[half, half], [half, half]])))
         assert calls
 
 
@@ -758,19 +795,16 @@ class TestFullnessRows:
 class TestTowerContract:
     """One idempotent contract and one set of tower limits, decided in ``tower``."""
 
-    @pytest.mark.parametrize(
-        "rank", [3, 1, True, F(2), 2.0, "2", None, 10**5000],
-        ids=["3", "1", "True", "Fraction", "float", "str", "None", "huge"],
-    )
-    def test_rank_must_be_the_int_trace(self, rank):
-        with pytest.raises(InvalidArgumentError, match="rank must be the int trace 2"):
-            IdempotentElement(MatrixStage.rank_projector(4, 2), rank)
-
     def test_rank_equal_to_the_trace_accepted(self):
+        """The rank is read off the matrix as an int, and is no argument."""
         half = F(1, 2)
-        e = IdempotentElement(MatrixStage([[half, half], [half, half]]), 1)
+        e = IdempotentElement(MatrixStage([[half, half], [half, half]]))
         assert (e.rank, e.relative_rank) == (1, F(1, 2))
-        assert IdempotentElement(MatrixStage.rank_projector(4, 2), 2).rank == 2
+        assert type(e.rank) is int
+        assert IdempotentElement(MatrixStage.rank_projector(4, 2)).rank == 2
+        assert list(inspect.signature(IdempotentElement).parameters) == ["matrix"]
+        with pytest.raises(TypeError):
+            IdempotentElement(MatrixStage.rank_projector(4, 2), 2)
 
     def test_no_public_idempotent_breaks_the_corner_map(self):
         """A corner map of any idempotent that can be built raises no RuntimeError."""
@@ -778,12 +812,12 @@ class TestTowerContract:
         cases = [e for e, _ in _corner_cases()]
         for n in range(1, 7):
             for r in range(n + 1):
-                cases.append(IdempotentElement(MatrixStage.rank_projector(n, r), r))
+                cases.append(IdempotentElement(MatrixStage.rank_projector(n, r)))
                 q = random_matrix(rng, n)
                 q_inv = gauss_inverse(q.entries)
                 if q_inv is not None:
                     m = q * MatrixStage.rank_projector(n, r) * MatrixStage(q_inv)
-                    cases.append(IdempotentElement(m, r))
+                    cases.append(IdempotentElement(m))
         for e in cases:
             if e.rank == 0:
                 with pytest.raises(ZeroIdempotentError):
@@ -791,6 +825,26 @@ class TestTowerContract:
                 continue
             iso = corner_isomorphism(e)
             assert iso.apply(e.matrix) == MatrixStage.identity(e.rank)
+
+    def test_rank_cap_is_the_one_cap_a_call_moves(self, monkeypatch):
+        """A raised rank cap admits a taller tower, but never a stage above MAX_STAGE_ORDER."""
+        st_val = SupernaturalNumber(0, {2: INF, 3: INF})
+        with pytest.raises(InvalidArgumentError, match="exceeds the rank cap 96"):
+            verify_corner_scaling(st_val, Tower((4, 128)), F(1, 2), seed=0)
+        report = verify_corner_scaling(st_val, Tower((4, 128)), F(1, 2), seed=0, rank_order_cap=128)
+        assert report.all_passed
+        sizes = []
+        trusted = tower.MatrixStage._trusted.__func__
+
+        def recording(cls, rows):
+            stage = trusted(cls, rows)
+            sizes.append(stage.order)
+            return stage
+
+        monkeypatch.setattr(tower.MatrixStage, "_trusted", classmethod(recording))
+        with pytest.raises(InvalidArgumentError, match="stage order 768 exceeds the cap 384"):
+            verify_corner_scaling(st_val, Tower((2, 768)), F(1, 2), seed=0, rank_order_cap=10**6)
+        assert sizes and max(sizes) == 2
 
     def test_no_call_moves_a_tower_cap(self):
         assert list(inspect.signature(is_full_idempotent).parameters) == ["e"]
@@ -829,6 +883,7 @@ class TestTowerContract:
         assert report.render() == run_verification(seed, max_order=384, trials=20).render()
 
     def test_from_matrix_runs_no_elimination(self, monkeypatch):
+        """Building an idempotent from its matrix reads the rank off the trace."""
         calls = []
         echelon = tower._echelon
 
@@ -838,7 +893,7 @@ class TestTowerContract:
 
         monkeypatch.setattr(tower, "_echelon", counting)
         for e, _ in _corner_cases():
-            assert IdempotentElement.from_matrix(e.matrix) == e
+            assert IdempotentElement(e.matrix) == e
         assert calls == []
 
     def test_corner_isomorphism_makes_one_stage_product(self, monkeypatch):
