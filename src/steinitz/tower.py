@@ -671,6 +671,7 @@ def verify_corner_scaling(
     if top > rank_order_cap:
         cap = _shown(rank_order_cap)
         raise InvalidArgumentError(f"top stage order {_shown(top)} exceeds the rank cap {cap}")
+    _check_stage_order(top)
     if not divides(from_natural(top), descriptor_st):
         raise NotADivisorError(
             f"tower lcm {_shown(top)} does not divide the descriptor {descriptor_st}"

@@ -506,8 +506,8 @@ class TestDerivedRank:
     @staticmethod
     def cases():
         rng = random.Random(1414)
-        # Seeded idempotents at every order across 21/22, where the pair rule
-        # was once split, and at the verify cap and the stage cap.
+        # Seeded idempotents at every order up to 40, at the verify cap and
+        # at the stage cap.
         for n in range(1, 41):
             for r in sorted({0, 1, n // 2, n - 1, n}):
                 yield random_idempotent(n, r, rng.randrange(2**32))
@@ -527,8 +527,8 @@ class TestDerivedRank:
                 yield IdempotentElement(q * p * MatrixStage(q_inv))
                 conjugates += 1
         for _ in range(40):
-            a = random_idempotent(rng.randint(1, 6), 0, rng.randrange(2**32))
-            a = random_idempotent(a.stage_order, rng.randint(0, a.stage_order), rng.randrange(2**32))
+            n = rng.randint(1, 6)
+            a = random_idempotent(n, rng.randint(0, n), rng.randrange(2**32))
             b = IdempotentElement(MatrixStage.rank_projector(3, rng.randint(0, 3)))
             yield IdempotentElement(embed(a.matrix, rng.randint(1, 4)))
             yield IdempotentElement(kron(a.matrix, b.matrix))
@@ -571,7 +571,7 @@ class TestUnimodularPinned:
             text = repr([tower._unimodular(n, random.Random(7 * n)) for n in orders])
             return hashlib.sha256(text.encode()).hexdigest()
 
-        # Orders up to 21 draw as before one pair rule served every order.
+        # Up to order 21 the pair is drawn as random.Random.sample(range(n), 2) draws it.
         assert digest(range(1, 22)) == (
             "83f66689752a47183ba075a0440f7d09e7c7bf8c2024af70c8b97f44946a1bb4"
         )
@@ -842,9 +842,10 @@ class TestTowerContract:
             return stage
 
         monkeypatch.setattr(tower.MatrixStage, "_trusted", classmethod(recording))
-        with pytest.raises(InvalidArgumentError, match="stage order 768 exceeds the cap 384"):
-            verify_corner_scaling(st_val, Tower((2, 768)), F(1, 2), seed=0, rank_order_cap=10**6)
-        assert sizes and max(sizes) == 2
+        for orders in ((2, 768), (384, 768)):
+            with pytest.raises(InvalidArgumentError, match="stage order 768 exceeds the cap 384"):
+                verify_corner_scaling(st_val, Tower(orders), F(1, 2), seed=0, rank_order_cap=10**6)
+        assert sizes == []
 
     def test_no_call_moves_a_tower_cap(self):
         assert list(inspect.signature(is_full_idempotent).parameters) == ["e"]
