@@ -94,8 +94,11 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with fixed witnesses).
 
     Raises InvalidArgumentError for n >= 318665857834031151167461, where the
-    witnesses no longer decide primality.
+    witnesses no longer decide primality, and for an n that is not an int
+    (or is a bool).
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidArgumentError(f"is_prime takes an integer, got {n!r}")
     if n < 2:
         return False
     if n >= _MR_EXACT_BELOW:

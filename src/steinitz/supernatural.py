@@ -7,12 +7,16 @@ exponent applies to every prime outside a finite exception set.  That class
 contains every positive integer, every p**infinity pattern, the product of
 all primes, and is closed under the operations below, which makes equality,
 divisibility, lcm/gcd and rational connectedness all decidable by finite
-bookkeeping.  Binary operations walk the two canonical exception tuples
-once, in ascending prime order, with the defaults filled in.
+bookkeeping.  Binary operations merge the two canonical exception tuples
+in one walk, in ascending prime order, with the defaults filled in.
 
 Values are immutable and canonicalized on construction, so structural
-equality coincides with semantic equality.  This module also owns the
-expression text: ``str`` writes it and :func:`parse_steinitz` reads it.
+equality coincides with semantic equality.  The public constructor proves
+every key prime; the values this module computes from canonical values,
+from :func:`factorize` or from bases the parser has proven are built by
+``SupernaturalNumber._trusted``, which proves nothing again.  This module
+also owns the expression text: ``str`` writes it and :func:`parse_steinitz`
+reads it, proving each base once.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import prod
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     MAX_NUMBER_DIGITS,
@@ -35,6 +40,7 @@ from .errors import (
     InvalidArgumentError,
     NotPrimeError,
     RatioTooLargeError,
+    SteinitzError,
     SteinitzSyntaxError,
     _check_positive_int,
     _shown,
@@ -121,6 +127,25 @@ class SupernaturalNumber:
         canonical = [(p, e) for p, e in sorted(seen.items()) if e != self.default_exp]
         object.__setattr__(self, "exceptions", tuple(canonical))
 
+    @classmethod
+    def _trusted(
+        cls, default: Exponent, items: Iterable[tuple[int, Exponent]]
+    ) -> SupernaturalNumber:
+        """A value from proven (prime, exponent) pairs, without the checks.
+
+        Only for pairs in ascending prime order, each prime listed once and
+        already proven, with valid exponents: those this module computes
+        from canonical values, from factorize, or from bases parse_steinitz
+        has proven.  Pairs equal to the default are dropped.  Anything from
+        outside goes through ``SupernaturalNumber(default, exceptions)``.
+        The stored tuple is ``tuple(<list>)``.
+        """
+        value = object.__new__(cls)
+        object.__setattr__(value, "default_exp", default)
+        kept = [pe for pe in items if pe[1] != default]
+        object.__setattr__(value, "exceptions", tuple(kept))
+        return value
+
     def exponent(self, p: int) -> Exponent:
         return exponent_at(self, p)
 
@@ -153,6 +178,24 @@ ONE = SupernaturalNumber()
 _TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z]+|[*^])|(\S))")
 
 
+def _scan(text: str) -> Iterator[tuple[str, int]]:
+    """(token, position) pairs of the text as they are matched, then ("", len(text)).
+
+    A bad character or a number longer than MAX_NUMBER_DIGITS digits raises
+    SteinitzSyntaxError when the scan reaches it.
+    """
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise SteinitzSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        if len(tok) > MAX_NUMBER_DIGITS and tok.isdigit():
+            raise SteinitzSyntaxError(
+                f"number longer than {MAX_NUMBER_DIGITS} digits", m.start(1)
+            )
+        yield tok, m.start(1)
+    yield "", len(text)  # the end of the text
+
+
 def parse_steinitz(text: str) -> SupernaturalNumber:
     """Parse expression text into a supernatural number.
 
@@ -165,70 +208,69 @@ def parse_steinitz(text: str) -> SupernaturalNumber:
     ``rest`` fixes the exponent of every prime not listed explicitly (at most
     one ``rest`` term; absent means 0).  The single digit ``1`` is accepted
     as the empty product.  A number longer than MAX_NUMBER_DIGITS digits is
-    refused.  The whole text is scanned before any term is read, so a bad
-    character is reported before an error in a term.  Errors carry the
-    position of the offending token.
+    refused.  The terms are read from the scan as it goes, and an error in a
+    term is raised only after the rest of the text is scanned, so a bad
+    character anywhere is reported before an error in a term.  Errors carry
+    the position of the offending token.  Each base is proven prime once.
     """
     if not isinstance(text, str):
         raise TypeError(f"expected expression text, got {text!r}")
-    tokens: list[tuple[str, int]] = []
-    for m in _TOKEN.finditer(text):
-        tok, bad = m.group(1, 2)
-        if bad is not None:
-            raise SteinitzSyntaxError(f"unexpected character {bad!r}", m.start(2))
-        if len(tok) > MAX_NUMBER_DIGITS and tok.isdigit():
-            raise SteinitzSyntaxError(
-                f"number longer than {MAX_NUMBER_DIGITS} digits", m.start(1)
-            )
-        tokens.append((tok, m.start(1)))
-    tokens.append(("", len(text)))  # the end of the text
-
+    tokens = _scan(text)
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
-    i = 0
-    while True:
-        head, at = tokens[i]
-        if not head:
-            raise SteinitzSyntaxError("unexpected end of expression", at)
-        if not (head.isdigit() or head == "rest"):
-            raise SteinitzSyntaxError(f"unexpected {head!r}", at)
-        base = int(head) if head.isdigit() else None
-        exp: Exponent = 1
-        i += 1
-        if tokens[i][0] == "^":
-            if base == 1:
-                raise SteinitzSyntaxError("'1' does not take an exponent", tokens[i][1])
-            word, where = tokens[i + 1]
-            if word.isdigit():
-                exp = int(word)
-            elif word == "inf":
-                exp = INF
-            else:
-                got = word or "end of expression"
-                raise SteinitzSyntaxError(
-                    f"expected a natural number or 'inf', got {got!r}", where
-                )
-            i += 2
-        elif base is None:
-            raise SteinitzSyntaxError("'rest' requires an explicit exponent", at)
-        if base is None:
-            if default is not None:
-                raise DuplicateRestError(f"'rest' appears more than once (at position {at})")
-            default = exp
-        elif base != 1:
-            if not is_prime(base):
-                raise NotPrimeError(f"{base} is not prime (at position {at})")
-            if base in exceptions:
-                raise DuplicatePrimeError(
-                    f"prime {base} appears more than once (at position {at})"
-                )
-            exceptions[base] = exp
-        sep, at = tokens[i]
-        if sep != "*":
-            if sep:
-                raise SteinitzSyntaxError(f"unexpected {sep!r}", at)
-            return SupernaturalNumber(0 if default is None else default, exceptions)
-        i += 1
+    try:
+        head, at = next(tokens)
+        while True:
+            if not head:
+                raise SteinitzSyntaxError("unexpected end of expression", at)
+            if not (head.isdigit() or head == "rest"):
+                raise SteinitzSyntaxError(f"unexpected {head!r}", at)
+            base = int(head) if head.isdigit() else None
+            exp: Exponent = 1
+            sep, where = next(tokens)
+            if sep == "^":
+                if base == 1:
+                    raise SteinitzSyntaxError("'1' does not take an exponent", where)
+                word, where = next(tokens)
+                if word.isdigit():
+                    exp = int(word)
+                elif word == "inf":
+                    exp = INF
+                else:
+                    got = word or "end of expression"
+                    raise SteinitzSyntaxError(
+                        f"expected a natural number or 'inf', got {got!r}", where
+                    )
+                sep, where = next(tokens)
+            elif base is None:
+                raise SteinitzSyntaxError("'rest' requires an explicit exponent", at)
+            if base is None:
+                if default is not None:
+                    raise DuplicateRestError(
+                        f"'rest' appears more than once (at position {at})"
+                    )
+                default = exp
+            elif base != 1:
+                # A base seen before was proven then, so it is not proven again.
+                if base in exceptions:
+                    raise DuplicatePrimeError(
+                        f"prime {base} appears more than once (at position {at})"
+                    )
+                if not is_prime(base):
+                    raise NotPrimeError(f"{base} is not prime (at position {at})")
+                exceptions[base] = exp
+            if sep != "*":
+                if sep:
+                    raise SteinitzSyntaxError(f"unexpected {sep!r}", where)
+                break
+            head, at = next(tokens)
+    except SteinitzError:
+        for _ in tokens:  # a scan error later in the text wins
+            pass
+        raise
+    return SupernaturalNumber._trusted(
+        0 if default is None else default, sorted(exceptions.items())
+    )
 
 
 # 'm' or 'm/n' in ASCII digits, with a nonzero denominator.
@@ -280,7 +322,7 @@ MAX_RATIO_BITS = 14_000
 def from_natural(n: int) -> SupernaturalNumber:
     """Embed a positive integer via its prime factorization."""
     _check_positive_int(n, "n")
-    return SupernaturalNumber(0, factorize(n))
+    return SupernaturalNumber._trusted(0, factorize(n).items())
 
 
 def exponent_at(s: SupernaturalNumber, p: int) -> Exponent:
@@ -296,10 +338,29 @@ def exponent_at(s: SupernaturalNumber, p: int) -> Exponent:
 def _aligned(
     s: SupernaturalNumber, t: SupernaturalNumber
 ) -> Iterator[tuple[int, Exponent, Exponent]]:
-    """(p, exponent in s, exponent in t) for every prime listed in s or t, ascending."""
-    a, b = dict(s.exceptions), dict(t.exceptions)
-    for p in sorted(a.keys() | b.keys()):
-        yield p, a.get(p, s.default_exp), b.get(p, t.default_exp)
+    """(p, exponent in s, exponent in t) for every prime listed in s or t, ascending.
+
+    One merge of the two canonical exception tuples, which ascend already.
+    """
+    a, b = s.exceptions, t.exceptions
+    i = j = 0
+    while i < len(a) and j < len(b):
+        p, x = a[i]
+        q, y = b[j]
+        if p == q:
+            yield p, x, y
+            i += 1
+            j += 1
+        elif p < q:
+            yield p, x, t.default_exp
+            i += 1
+        else:
+            yield q, s.default_exp, y
+            j += 1
+    for p, x in islice(a, i, None):
+        yield p, x, t.default_exp
+    for q, y in islice(b, j, None):
+        yield q, s.default_exp, y
 
 
 def _pointwise(
@@ -307,8 +368,9 @@ def _pointwise(
     s: SupernaturalNumber,
     t: SupernaturalNumber,
 ) -> SupernaturalNumber:
-    exc = {p: op(a, b) for p, a, b in _aligned(s, t)}
-    return SupernaturalNumber(op(s.default_exp, t.default_exp), exc)
+    return SupernaturalNumber._trusted(
+        op(s.default_exp, t.default_exp), ((p, op(a, b)) for p, a, b in _aligned(s, t))
+    )
 
 
 def mul(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
@@ -395,15 +457,23 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
         if k > 1:
             for p, e in factorize(k).items():
                 adjust[p] = adjust.get(p, 0) + sign * e
-    exc: dict[int, Exponent] = dict(s.exceptions)
-    for p, delta in adjust.items():
-        e = exc.get(p, s.default_exp)
-        if is_infinite(e):
-            exc[p] = e
-            continue
-        if e + delta < 0:
-            raise DenominatorDoesNotDivideError(
-                f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
-            )
-        exc[p] = e + delta
-    return SupernaturalNumber(s.default_exp, exc)
+    # Merge the moved primes, ascending, into the canonical exceptions.
+    ex = s.exceptions
+    out: list[tuple[int, Exponent]] = []
+    i = 0
+    for p, delta in sorted(adjust.items()):
+        j = bisect_left(ex, (p,), i)
+        out += ex[i:j]
+        if j < len(ex) and ex[j][0] == p:
+            e, i = ex[j][1], j + 1
+        else:
+            e, i = s.default_exp, j
+        if not is_infinite(e):
+            if e + delta < 0:
+                raise DenominatorDoesNotDivideError(
+                    f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
+                )
+            e += delta
+        out.append((p, e))
+    out += ex[i:]
+    return SupernaturalNumber._trusted(s.default_exp, out)

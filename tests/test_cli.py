@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -43,12 +45,12 @@ from steinitz import (
     scale,
     verify_corner_scaling,
 )
-from steinitz import cli, tower
+from steinitz import cli, supernatural, tower
 from steinitz.cli import main
 from steinitz.tower import MAX_STAGE_ORDER, IdempotentElement, MatrixStage
 from steinitz.primes import set_default_trial_bound
 from steinitz.supernatural import MAX_NUMBER_DIGITS
-from helpers import random_supernatural, supernaturals
+from helpers import _primes_below, random_supernatural, supernaturals
 
 
 class TestParse:
@@ -85,8 +87,14 @@ class TestParse:
         "text, error, message",
         [
             ("2*@", SteinitzSyntaxError, "unexpected character '@' (at position 2)"),
-            # The whole text is scanned first: '@' beats the non-prime 4.
+            # An error in a term is raised only after the whole text is
+            # scanned: '@' beats the non-prime 4, the duplicate 2, the bare
+            # 'rest' and the unprovable 10**30.
             ("4*@", SteinitzSyntaxError, "unexpected character '@' (at position 2)"),
+            ("4*7#", SteinitzSyntaxError, "unexpected character '#' (at position 3)"),
+            ("2*2 * 5 @", SteinitzSyntaxError, "unexpected character '@' (at position 8)"),
+            ("rest*3 ^ 2 %", SteinitzSyntaxError, "unexpected character '%' (at position 11)"),
+            (f"{10**30}*@", SteinitzSyntaxError, "unexpected character '@' (at position 32)"),
             ("2 * 3 +", SteinitzSyntaxError, "unexpected character '+' (at position 6)"),
             ("2*", SteinitzSyntaxError, "unexpected end of expression (at position 2)"),
             ("", SteinitzSyntaxError, "unexpected end of expression (at position 0)"),
@@ -135,6 +143,8 @@ class TestParse:
             ("3 * " + "0" * MAX_NUMBER_DIGITS + "7", 4),
             ("2^" + "9" * 5000, 2),
             ("rest^" + "1" * 5000 + "*@", 5),
+            ("2*2*" + "9" * (MAX_NUMBER_DIGITS + 1), 4),
+            ("2^foo*3^" + "1" * (MAX_NUMBER_DIGITS + 1), 8),
         ],
     )
     def test_number_past_the_digit_cap(self, capsys, text, position):
@@ -153,6 +163,41 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(SteinitzSyntaxError):
             parse_steinitz("2+3")
+
+    @given(st.text(alphabet="12345679*^ @restinf", max_size=24))
+    def test_errors_match_a_scan_of_the_whole_text_first(self, text):
+        """Streaming the scan changes no outcome: scanning everything first gives the same one."""
+        try:
+            list(supernatural._scan(text))
+        except SteinitzSyntaxError as scan_error:
+            expected = scan_error
+        else:
+            expected = None
+        try:
+            parsed = parse_steinitz(text)
+        except SteinitzError as error:
+            if expected is not None:
+                assert (type(error), str(error)) == (type(expected), str(expected))
+        else:
+            assert expected is None
+            assert parse_steinitz(str(parsed)) == parsed
+
+    def test_peak_memory_stays_under_twice_the_result(self):
+        """The tokens are not collected first, so the parse holds little beyond its result."""
+        rng = random.Random(1000)
+        primes = _primes_below(8000)[:1000]
+        text = "*".join(f"{p}^{rng.randint(1, 9)}" for p in rng.sample(primes, len(primes)))
+        parse_steinitz(text)  # warm the regex and the parser
+        gc.collect()  # a full pass also empties CPython's free lists, so every tuple is traced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = parse_steinitz(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.exceptions) == 1000
+        assert peak - before < 2 * (held - before), (peak - before, held - before)
 
     @pytest.mark.parametrize(
         "text, position",

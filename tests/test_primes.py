@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +55,13 @@ def test_is_prime_refuses_what_it_cannot_prove(n):
         is_prime(n)
     assert isinstance(exc.value, ValueError)
     assert str(PSI_12) in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [7.0, 4.5, "7", True, False, Fraction(7), None])
+def test_is_prime_takes_only_ints(n):
+    """A float, a str, a bool or any other non-int is an argument error, not an answer."""
+    with pytest.raises(InvalidArgumentError, match="is_prime takes an integer"):
+        is_prime(n)
 
 
 def test_is_prime_below_the_bound():

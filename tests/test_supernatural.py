@@ -32,11 +32,12 @@ from steinitz import (
     is_natural,
     lcm,
     mul,
+    parse_steinitz,
     rationally_connected,
     scale,
 )
 from steinitz import primes, supernatural
-from helpers import OUTSIDE_PRIME, _primes_below, pointwise_exponents, supernaturals
+from helpers import OUTSIDE_PRIME, PRIME_POOL, _primes_below, pointwise_exponents, supernaturals
 
 naturals = st.integers(min_value=1, max_value=10_000)
 
@@ -391,38 +392,113 @@ class TestScale:
 
 
 class TestWalkCost:
-    """Binary operations prove each prime at most once (no wall clock)."""
+    """Computed values prove no prime again, and parsed ones each base once (no wall clock)."""
 
     @staticmethod
     def _wide(rng, primes):
         return SupernaturalNumber(0, {p: rng.randint(1, 5) for p in rng.sample(primes, 200)})
 
     def test_is_prime_calls_bounded_by_support_union(self, monkeypatch):
-        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        primes_below = _primes_below(2000)
         rng = random.Random(20200217)
-        s, t = self._wide(rng, primes), self._wide(rng, primes)
+        s, t = self._wide(rng, primes_below), self._wide(rng, primes_below)
         below_t = gcd(s, t)
         # Neither walk stops early, so each visits the whole union.
         assert divides(below_t, t) and rationally_connected(s, t) is not None
-        s_keys, t_keys = dict(s.exceptions).keys(), dict(t.exceptions).keys()
-        outside = [p for p in primes if p not in s_keys][:3]
+        s_keys = dict(s.exceptions).keys()
+        outside = [p for p in primes_below if p not in s_keys][:3]
         q = Fraction(math.prod(outside), math.prod(sorted(s_keys)[:2]))
+        # factorize proves a cofactor above its trial division: 1000003 here.
+        q_big = Fraction(1_000_003 * outside[0], sorted(s_keys)[0])
         calls = []
-        real = supernatural.is_prime
-        monkeypatch.setattr(supernatural, "is_prime", lambda n: calls.append(n) or real(n))
-        both = len(s_keys | t_keys)
+        for module in (supernatural, primes):
+            real = module.is_prime
+            monkeypatch.setattr(module, "is_prime", lambda n, real=real: calls.append(n) or real(n))
         cases = [
-            (mul, s, t, both),
-            (lcm, s, t, both),
-            (gcd, s, t, both),
-            (divides, below_t, t, len(dict(below_t.exceptions).keys() | t_keys)),
-            (rationally_connected, s, t, both),
-            (scale, s, q, len(s_keys | set(outside))),
+            (mul, s, t, 0),
+            (lcm, s, t, 0),
+            (gcd, s, t, 0),
+            (divides, below_t, t, 0),
+            (rationally_connected, s, t, 0),
+            (scale, s, q, len(outside) + 2),
+            (scale, s, q_big, 3),
         ]
-        for op, x, y, bound in cases:
+        for op, x, y, most in cases:
             calls.clear()
             op(x, y)
-            assert len(calls) <= bound, (op.__name__, len(calls), bound)
+            assert len(calls) <= most, (op.__name__, len(calls), most)
+        assert 1_000_003 in calls
+
+        bases = sorted(s_keys | dict(t.exceptions).keys())
+        rng.shuffle(bases)
+        terms = [f"{p}^{rng.choice(('1', '2', 'inf'))}" for p in bases] + ["1", "rest^2"]
+        rng.shuffle(terms)
+        calls.clear()
+        parsed = parse_steinitz("*".join(terms))
+        assert sorted(calls) == sorted(bases)
+        assert parsed.default_exp == 2
+
+
+def _semiprime_corpus(rng):
+    """Products of two primes near 10**6 (up to about 10**12), and random n below 10**12."""
+    near = [p for p in range(10**6 - 2000, 10**6 + 2000) if primes.is_prime(p)]
+    out = [rng.choice(near) * rng.choice(near) for _ in range(20)]
+    out += [rng.randrange(1, 10**12) for _ in range(20)]
+    return out + [1, 2, 10**12, 999983 * 1000003]
+
+
+def _random_text(rng, pool):
+    """Expression text: a random support in random order, '1' terms and maybe a rest term."""
+    default = rng.choice((None, "0", "1", "2", "inf"))
+    terms = []
+    for p in rng.sample(pool, rng.randint(0, 12)):
+        exp = rng.choice(("", "^0", "^1", "^2", "^7", "^inf", "^" + str(rng.randrange(10**30))))
+        terms.append(f"{p}{exp}")
+    terms += ["1"] * rng.randint(0, 2)
+    if default is not None:
+        terms.append(f"rest^{default}")
+    rng.shuffle(terms)
+    return " * ".join(terms) or "1"
+
+
+class TestTrustedBuilder:
+    """Values this module computes skip the checks; the public constructor must agree."""
+
+    def test_every_trusted_value_passes_the_public_constructor(self, monkeypatch):
+        made = []
+        trusted = SupernaturalNumber._trusted.__func__
+
+        def recording(cls, default, items):
+            value = trusted(cls, default, items)
+            made.append(value)
+            return value
+
+        monkeypatch.setattr(SupernaturalNumber, "_trusted", classmethod(recording))
+        rng = random.Random(1517)
+        pool = list(PRIME_POOL) + [41, 97, 65537, 1_000_003, 999_999_000_001]
+        corpus = [parse_steinitz(_random_text(rng, pool)) for _ in range(300)]
+        values = corpus[:60]
+        for s in values:
+            for t in values[::7]:
+                corpus += [mul(s, t), lcm(s, t), gcd(s, t)]
+            keys = [p for p, _ in s.exceptions]
+            inside = rng.sample(keys, min(len(keys), 2))
+            outside = rng.sample([p for p in pool if p not in keys], 2)
+            for m, n in ((outside, []), (inside, []), (outside, inside), (inside[:1], outside[:1])):
+                try:
+                    corpus.append(scale(s, Fraction(math.prod(m), math.prod(n))))
+                except DenominatorDoesNotDivideError:
+                    pass
+        corpus += [from_natural(n) for n in _semiprime_corpus(rng)]
+        # Every value of the corpus came through the trusted builder.
+        assert {id(v) for v in corpus} <= {id(v) for v in made}
+        assert len(made) >= len(corpus) > 2000
+        for value in made:
+            assert type(value.exceptions) is tuple
+            assert all(type(pe) is tuple for pe in value.exceptions)
+            rebuilt = SupernaturalNumber(value.default_exp, value.exceptions)
+            assert rebuilt == value
+            assert rebuilt.exceptions == value.exceptions
 
 
 class TestTowerLimitExample:
