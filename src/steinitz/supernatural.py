@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import prod
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -356,9 +357,9 @@ def _aligned(
         else:
             yield q, s.default_exp, y
             j += 1
-    for p, x in a[i:]:
+    for p, x in islice(a, i, None):
         yield p, x, t.default_exp
-    for q, y in b[j:]:
+    for q, y in islice(b, j, None):
         yield q, s.default_exp, y
 
 
@@ -456,14 +457,24 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
         if k > 1:
             for p, e in factorize(k).items():
                 adjust[p] = adjust.get(p, 0) + sign * e
-    exc: dict[int, Exponent] = dict(s.exceptions)
-    for p, delta in adjust.items():
-        e = exc.get(p, s.default_exp)
-        if is_infinite(e):
-            continue
-        if e + delta < 0:
-            raise DenominatorDoesNotDivideError(
-                f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
-            )
-        exc[p] = e + delta
-    return SupernaturalNumber._trusted(s.default_exp, sorted(exc.items()))
+    # Merge the moved primes, ascending, into the canonical exceptions; the
+    # untouched pairs are reused by slicing, not copied through a dict.
+    ex = s.exceptions
+    out: list[tuple[int, Exponent]] = []
+    i = 0
+    for p, delta in sorted(adjust.items()):
+        j = bisect_left(ex, (p,), i)
+        out += ex[i:j]
+        if j < len(ex) and ex[j][0] == p:
+            e, i = ex[j][1], j + 1
+        else:
+            e, i = s.default_exp, j
+        if not is_infinite(e):
+            if e + delta < 0:
+                raise DenominatorDoesNotDivideError(
+                    f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
+                )
+            e += delta
+        out.append((p, e))
+    out += ex[i:]
+    return SupernaturalNumber._trusted(s.default_exp, out)
