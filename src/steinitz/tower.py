@@ -18,8 +18,9 @@ for reuse when freed, and those kept tuples raised the resident memory of
 verify runs.  The builders that take an order (``identity``, ``zero``,
 ``rank_projector``, ``diagonal``, ``random_idempotent``) and ``embed``/``kron``
 refuse an order or rank that is not an ``int`` (or is a ``bool``), and an order
-above ``MAX_STAGE_ORDER``, before allocating anything.  The stage, span,
-fullness and trial limits are module constants that no call can raise; the
+above ``MAX_STAGE_ORDER``, before allocating anything.  The stage, span and
+trial limits, and the largest order verify's corner-span suite draws
+(``FULLNESS_ORDER_CAP``), are module constants that no call can raise; the
 one cap a call can move is the rank cap of ``verify_corner_scaling``
 (``rank_order_cap``, default ``RANK_ORDER_CAP``), and even a raised rank cap
 leaves every stage order under ``MAX_STAGE_ORDER``.  An ``IdempotentElement``
@@ -69,7 +70,7 @@ from .supernatural import (
 
 #: Default cap on stage orders for rank-based verification runs.
 RANK_ORDER_CAP = 96
-#: Default cap on stage orders for fullness span computations (n**4 blowup).
+#: Largest order verify's corner-span suite draws.
 FULLNESS_ORDER_CAP = 6
 #: Largest order ``corner_span_dimension`` takes: it eliminates n**2 rows of
 #: width n**2, which takes up to about 60 ms at n = 12 and grows about as n**6.
@@ -231,7 +232,7 @@ def _primitive_int_row(row: Sequence[int | Fraction]) -> list[int] | None:
     A row of plain ints, which is every row of an integer stage, is copied
     as it is with ``list(row)``: the type test runs in C, and no entry
     pays for a denominator.  Other rows go through ``_cleared_row``.  Either
-    way the result is a fresh list of exactly the row's size.
+    way the result is a fresh list.
     """
     ints = list(row) if set(map(type, row)) <= _INT_ONLY else _cleared_row(row)
     if not any(ints):
@@ -240,12 +241,12 @@ def _primitive_int_row(row: Sequence[int | Fraction]) -> list[int] | None:
 
 
 def _cleared_row(row: Sequence[int | Fraction]) -> list[int]:
-    """A row of ints and Fractions times the lcm of its denominators, as an exact-size list."""
+    """A row of ints and Fractions times the lcm of its denominators, as a list of ints."""
     denom_lcm = 1
     for x in row:
         if x:
             denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    return [x.numerator * (denom_lcm // x.denominator) for x in row][:]
+    return [x.numerator * (denom_lcm // x.denominator) for x in row]
 
 
 def _echelon(
@@ -261,10 +262,10 @@ def _echelon(
     pivot column is also cleared above its pivot, so the pivot block is
     diagonal (its entries need not be 1).
 
-    Stored rows are exact-size lists (slices and concatenations, divided in
-    place), not over-allocated comprehension results: the spare capacity of
-    wide rows, kept for the whole elimination, raised the peak resident size
-    of corner maps.
+    Eliminated rows are stored as exact-size lists (slices and
+    concatenations, divided in place), not over-allocated comprehension
+    results: the spare capacity of wide rows, kept for the whole elimination,
+    raised the peak resident size of corner maps.
 
     Returns the nonzero echelon rows, one per pivot, and the pivot columns in
     increasing order: their number is the rank, and they index the first
@@ -554,19 +555,11 @@ def corner_span_dimension(e: IdempotentElement | MatrixStage) -> int:
 def is_full_idempotent(e: IdempotentElement) -> bool:
     """Whether the two-sided span {x e y : x, y matrix units} is all of M_n.
 
-    In a simple matrix algebra this holds exactly when e is nonzero; the
-    check here computes the span anyway.  Orders above ``FULLNESS_ORDER_CAP``
-    raise SpanCapExceededError (the span computation is n**4 in the order).
+    E_ij e E_kl = e[j][k] E_il, so one nonzero entry e[j][k] puts every
+    matrix unit E_il in the span, and e = 0 spans nothing: the span is M_n
+    exactly when e has a nonzero entry.
     """
-    n = e.stage_order
-    if n > FULLNESS_ORDER_CAP:
-        raise SpanCapExceededError(f"order {n} exceeds the fullness span cap {FULLNESS_ORDER_CAP}")
-    # E_ij e E_kl = e[j][k] E_il: for a fixed (i, l) these are parallel, so
-    # one row per (i, l), from any nonzero entry v of e, spans the same space.
-    v = next((x for row in e.matrix.entries for x in row if x), 0)
-    size = n * n
-    rows = [[0] * il + [v] + [0] * (size - il - 1) for il in range(size)] if v else []
-    return len(_echelon(rows)[1]) == size
+    return any(map(any, e.matrix.entries))
 
 
 @dataclass(frozen=True)

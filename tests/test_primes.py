@@ -247,3 +247,12 @@ class TestSweepDifferential:
         with pytest.raises(InvalidArgumentError, match="primality is decided only below"):
             factorize(PSI_12)
         assert calls == [PSI_12]
+
+
+@pytest.mark.parametrize("n", [35, 143, 391])
+def test_rho_tries_the_next_c(n):
+    """With c = 1 every gcd of these is 1 or n, so rho goes on to c = 2."""
+    budget = 10**4
+    d, steps = primes._rho_divisor(n, budget)
+    assert 1 < d < n and n % d == 0
+    assert 0 <= steps < budget
