@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from steinitz import (
     INF,
     DenominatorDoesNotDivideError,
+    FULLNESS_ORDER_CAP,
     IdempotentElement,
     InvalidArgumentError,
     MatrixStage,
@@ -750,6 +751,15 @@ class TestCornerSpanAndFullness:
                 e = random_idempotent(n, r, seed=rng.randrange(10**9))
                 assert is_full_idempotent(e) == (r > 0)
 
+    def test_cap_enforced_and_overridable(self):
+        """The span cap still refuses; fullness needs no span and answers past every cap."""
+        e = random_idempotent(FULLNESS_ORDER_CAP + 1, 1, seed=4)
+        assert is_full_idempotent(e)
+        e = random_idempotent(SPAN_ORDER_CAP + 1, 1, seed=4)
+        with pytest.raises(SpanCapExceededError, match="corner span cap"):
+            corner_span_dimension(e)
+        assert is_full_idempotent(e)
+
 
 class TestFullnessRows:
     @staticmethod
@@ -767,8 +777,8 @@ class TestFullnessRows:
                             rows.append(vec)
         return rows
 
-    def test_nonzero_entry_decides_fullness(self, monkeypatch):
-        """The n**4 span oracle agrees up to order 6; no elimination runs, no order is refused."""
+    def test_one_row_per_entry_position(self, monkeypatch):
+        """One unit row per position (i, l) spans what the n**4 rows span, without elimination."""
         calls = []
         echelon = tower._echelon
         monkeypatch.setattr(tower, "_echelon", lambda *a, **k: calls.append(a) or echelon(*a, **k))
@@ -780,7 +790,18 @@ class TestFullnessRows:
                 cases.append(random_idempotent(n, r, rng.randrange(2**32)))
         for e in cases:
             n = e.stage_order
-            assert is_full_idempotent(e) == (gauss_rank(self.old_rows(e)) == n * n), (n, e.rank)
+            v = next((x for row in e.matrix.entries for x in row if x), 0)
+            unit_rows = [[v if col == il else 0 for col in range(n * n)] for il in range(n * n)]
+            span_rank = gauss_rank(self.old_rows(e))
+            assert gauss_rank(unit_rows) == span_rank, (n, e.rank)
+            assert is_full_idempotent(e) == (span_rank == n * n), (n, e.rank)
+        assert calls == []
+
+    def test_nonzero_entry_decides_fullness(self, monkeypatch):
+        """Orders past the old fullness cap get an answer, and no elimination runs."""
+        calls = []
+        echelon = tower._echelon
+        monkeypatch.setattr(tower, "_echelon", lambda *a, **k: calls.append(a) or echelon(*a, **k))
         for n in (7, 96, 384):
             for r in (0, 1, n // 2, n):
                 e = IdempotentElement(MatrixStage.rank_projector(n, r))
