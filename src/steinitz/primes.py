@@ -7,16 +7,24 @@ A cofactor of at least 2**32 that is left when the trial bound exceeds
 budget runs out, or the cofactor has more than 256 bits, a plain sweep of
 the odd numbers up to the bound takes over.  The bound keeps one meaning:
 factors above it are never searched for, so the part of n made of primes
-above the bound is kept only when it is provably prime (deterministic
-Miller-Rabin, exact below 318665857834031151167461, about 3.2 * 10**23),
-and otherwise :class:`FactorizationError` is raised instead of grinding
-on.  At or above that bound :func:`is_prime` cannot prove anything and
-raises :class:`InvalidArgumentError` rather than risk calling a composite
-prime.
+above the bound is kept only when it is provably prime, and otherwise
+:class:`FactorizationError` is raised instead of grinding on.
+
+:func:`is_prime` is deterministic Miller-Rabin: it runs the first k prime
+witnesses, with k the least for which the table of psi_k (the least strong
+pseudoprime to the first k prime bases) puts n below psi_k, so one witness
+below 2047 and all twelve, 2..37, from psi_11 on.  The table is from
+Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) and Jaeschke
+(Math. Comp. 61, 1993) for psi_1..psi_8, Jiang and Deng (Math. Comp. 83,
+2014) for psi_9..psi_11, Sorenson and Webster (Math. Comp. 86, 2017) for
+psi_12 = 318665857834031151167461, about 3.2 * 10**23; see also OEIS A014233.
+At or above psi_12 :func:`is_prime` cannot prove anything and raises
+:class:`InvalidArgumentError` rather than risk calling a composite prime.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 from math import gcd, isqrt
 
@@ -31,11 +39,27 @@ MAX_TRIAL_BOUND = 1 << 22
 
 _SIEVE_LIMIT = 1 << 16
 
-# The first twelve primes as witnesses make Miller-Rabin exact for
-# n < psi_12 = 318665857834031151167461 (Sorenson and Webster, Math. Comp.
-# 86, 2017); psi_12 itself = 399165290221 * 798330580441 passes all twelve.
+# The first k primes as witnesses make Miller-Rabin exact for n < psi_k,
+# the least strong pseudoprime to all of them (sources in the module
+# docstring), so is_prime runs the first k with k = bisect_right(_MR_PSI, n)
+# + 1.  psi_12 = 399165290221 * 798330580441 passes all twelve, so nothing
+# at or above it is decided.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+_MR_PSI = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
+_MR_EXACT_BELOW = _MR_PSI[-1]
 
 #: Brent's rho gets _RHO_STEPS_PER_ROOT * isqrt(bound) steps of y -> y*y + c
 #: per factorization.  Rho finds a prime p in about sqrt(p) steps, so every
@@ -91,9 +115,10 @@ def _small_primes() -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses).
+    """Deterministic primality test: Miller-Rabin with the first k prime witnesses.
 
-    Raises InvalidArgumentError for n >= 318665857834031151167461, where the
+    k is the least count whose psi_k exceeds n (the _MR_PSI table), from one
+    witness below 2047 to all twelve, 2..37, from psi_11 on.  Raises InvalidArgumentError for n >= 318665857834031151167461, where the
     witnesses no longer decide primality, and for an n that is not an int
     (or is a bool).
     """
@@ -113,7 +138,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -155,19 +155,24 @@ class SupernaturalNumber:
         return NotImplemented
 
     def __str__(self):
-        parts = []
+        # Each term goes straight into one buffer, so no per-term string is
+        # held until the end.
+        text = bytearray()
         for p, e in self.exceptions:
             if e == 1:
-                parts.append(str(p))
+                text += b"%d*" % p
             elif is_infinite(e):
-                parts.append(f"{p}^inf")
+                text += b"%d^inf*" % p
             else:
-                parts.append(f"{p}^{e}")
+                text += b"%d^%d*" % (p, e)
         if is_infinite(self.default_exp):
-            parts.append("rest^inf")
+            text += b"rest^inf*"
         elif self.default_exp != 0:
-            parts.append(f"rest^{self.default_exp}")
-        return "*".join(parts) if parts else "1"
+            text += b"rest^%d*" % self.default_exp
+        if not text:
+            return "1"
+        del text[-1]
+        return text.decode()
 
 
 #: The empty product.
