@@ -10,10 +10,10 @@ factors above it are never searched for, so the part of n made of primes
 above the bound is kept only when it is provably prime, and otherwise
 :class:`FactorizationError` is raised instead of grinding on.
 
-:func:`is_prime` is deterministic Miller-Rabin: it runs the first k prime
-witnesses, with k the least for which the table of psi_k (the least strong
-pseudoprime to the first k prime bases) puts n below psi_k, so one witness
-below 2047 and all twelve, 2..37, from psi_11 on.  The table is from
+:func:`is_prime` is deterministic Miller-Rabin with the first k prime
+witnesses, for the least k with n < psi_k, where psi_k is the least strong
+pseudoprime to the first k prime bases: one witness below psi_1 = 2047, and
+all twelve, 2..37, from psi_11 on.  The psi_k are from
 Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980) and Jaeschke
 (Math. Comp. 61, 1993) for psi_1..psi_8, Jiang and Deng (Math. Comp. 83,
 2014) for psi_9..psi_11, Sorenson and Webster (Math. Comp. 86, 2017) for
@@ -39,11 +39,11 @@ MAX_TRIAL_BOUND = 1 << 22
 
 _SIEVE_LIMIT = 1 << 16
 
-# The first k primes as witnesses make Miller-Rabin exact for n < psi_k,
-# the least strong pseudoprime to all of them (sources in the module
-# docstring), so is_prime runs the first k with k = bisect_right(_MR_PSI, n)
-# + 1.  psi_12 = 399165290221 * 798330580441 passes all twelve, so nothing
-# at or above it is decided.
+# The first k primes as witnesses make Miller-Rabin exact for n < psi_k =
+# _MR_PSI[k - 1], the least strong pseudoprime to all k of them (sources in
+# the module docstring).  is_prime runs the first bisect_right(_MR_PSI, n)
+# + 1 of them, the least k with n < psi_k.  psi_12 = 399165290221 *
+# 798330580441 passes all twelve, so nothing at or above it is decided.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PSI = (
     2047,
@@ -117,10 +117,11 @@ def _small_primes() -> list[int]:
 def is_prime(n: int) -> bool:
     """Deterministic primality test: Miller-Rabin with the first k prime witnesses.
 
-    k is the least count whose psi_k exceeds n (the _MR_PSI table), from one
-    witness below 2047 to all twelve, 2..37, from psi_11 on.  Raises InvalidArgumentError for n >= 318665857834031151167461, where the
-    witnesses no longer decide primality, and for an n that is not an int
-    (or is a bool).
+    k is the least with n < psi_k in the _MR_PSI table: one witness below
+    2047, two below 1373653, and all twelve, 2..37, from psi_11 on.  Raises
+    InvalidArgumentError for n >= 318665857834031151167461 = psi_12, where
+    the twelve witnesses no longer decide primality, and for an n that is
+    not an int (or is a bool).
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidArgumentError(f"is_prime takes an integer, got {n!r}")

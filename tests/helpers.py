@@ -199,6 +199,43 @@ def sweep_factorize(n: int, bound: int) -> dict[int, int]:
     return factors
 
 
+def strong_probable_prime(n: int, base: int) -> bool:
+    """Whether an odd n > 2 coprime to the base is a strong probable prime to it.
+
+    With n - 1 = d * 2**s and d odd: base**d = 1 mod n, or base**(d * 2**r)
+    = -1 mod n for some r < s.  Each power is its own pow, not a chain of
+    squarings as in the library.
+    """
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return pow(base, d, n) == 1 or any(pow(base, d << r, n) == n - 1 for r in range(s))
+
+
+def twelve_witness_is_prime(n: int) -> bool:
+    """Miller-Rabin with all twelve bases 2..37, exact below psi_12.
+
+    The reference for is_prime, which runs only a prefix of these bases.
+    """
+    if n < 2:
+        return False
+    for p in PRIME_POOL:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in PRIME_POOL)
+
+
+def join_format(s: SupernaturalNumber) -> str:
+    """Canonical expression text, one string per term joined by '*'."""
+
+    def shown(e):
+        return "inf" if isinstance(e, Infinity) else str(e)
+
+    terms = [str(p) if e == 1 else f"{p}^{shown(e)}" for p, e in s.exceptions]
+    if s.default_exp != 0:
+        terms.append(f"rest^{shown(s.default_exp)}")
+    return "*".join(terms) or "1"
+
+
 def pairwise_enumerate(s: SupernaturalNumber, bound: int) -> list[SupernaturalNumber]:
     """The O(bound**2) Morita-class walk that the constructive one replaced.
 

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from steinitz import FactorizationError, InvalidArgumentError, factorize, is_prime, primes
 from steinitz.primes import get_default_trial_bound, set_default_trial_bound
-from helpers import sweep_factorize
+from helpers import PRIME_POOL, strong_probable_prime, sweep_factorize, twelve_witness_is_prime
 
 
 def naive_is_prime(n: int) -> bool:
@@ -69,6 +70,112 @@ def test_is_prime_below_the_bound():
     assert 149491 * 747451 * 34233211 == 3825123056546413051
     assert is_prime(3825123056546413051) is False
     assert is_prime(PSI_12 - 1) is False
+
+
+#: psi_k, the least strong pseudoprime to the first k prime bases, k = 1..12.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    PSI_12,
+)
+
+#: Each distinct psi_k below psi_12 with its prime factors.
+PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+
+
+def test_psi_table_is_the_literature_table():
+    table = primes._MR_PSI
+    assert table == PSI
+    assert len(table) == len(primes._MR_WITNESSES) == 12
+    assert all(a <= b for a, b in zip(table, table[1:]))
+    assert table[-1] == primes._MR_EXACT_BELOW == PSI_12
+    assert sorted(PSI_FACTORS) == sorted(set(PSI[:-1]))
+
+
+@pytest.mark.parametrize("psi, factors", PSI_FACTORS.items(), ids=str)
+def test_every_psi_below_psi_12_is_composite(psi, factors):
+    assert math.prod(factors) == psi
+    assert all(naive_is_prime(p) for p in factors)
+    assert is_prime(psi) is False
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_psi_k_passes_the_first_k_bases(k):
+    """So a prefix one witness short would call psi_k prime."""
+    psi = PSI[k - 1]
+    assert all(strong_probable_prime(psi, a) for a in PRIME_POOL[:k])
+    if k < 12 and PSI[k] > psi:
+        assert not strong_probable_prime(psi, PRIME_POOL[k])
+
+
+def test_a_prefix_one_short_is_caught(monkeypatch):
+    """With bisect_left each psi_k gets the k witnesses it fools.
+
+    All but 2047 = 23 * 89, which the trial division by the witnesses finds.
+    """
+    monkeypatch.setattr(primes, "bisect_right", bisect_left)
+    assert [psi for psi in PSI_FACTORS if is_prime(psi)] == sorted(PSI_FACTORS)[1:]
+
+
+#: The nonempty bands [psi_(k-1), psi_k), with psi_0 = 0.
+PSI_BANDS = [(lo, hi) for lo, hi in zip((0,) + PSI, PSI) if lo < hi]
+
+
+@pytest.mark.parametrize("band", range(len(PSI_BANDS)))
+def test_is_prime_matches_twelve_witnesses_in_each_band(band):
+    lo, hi = PSI_BANDS[band]
+    rng = random.Random(1700 + band)
+    verdicts = set()
+    for _ in range(2000):
+        n = 2 * rng.randrange(lo // 2, hi // 2) + 1
+        verdict = twelve_witness_is_prime(n)
+        assert is_prime(n) is verdict, n
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize(
+    "n, witnesses",
+    [
+        (1009, 1),
+        (2039, 1),
+        (2053, 2),
+        (1_000_003, 2),
+        (1373677, 3),
+        (25326023, 4),
+        (3215031767, 5),
+        (2152302898771, 6),
+        (3474749660401, 7),
+        (341550071728361, 9),
+        (3825123056546413057, 12),
+        (2**64 - 59, 12),
+    ],
+)
+def test_a_prime_runs_the_witnesses_of_its_band(monkeypatch, n, witnesses):
+    """Counted as pow calls, one per witness, through a pow in primes' globals."""
+    calls = []
+    monkeypatch.setattr(primes, "pow", lambda *a: calls.append(a[0]) or pow(*a), raising=False)
+    assert twelve_witness_is_prime(n)
+    assert is_prime(n) is True
+    assert calls == list(PRIME_POOL[:witnesses])
 
 
 def test_factorize_refuses_an_unprovable_cofactor():

@@ -8,6 +8,8 @@ associativity, lattice absorption, partial order).
 import inspect
 import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -37,7 +39,14 @@ from steinitz import (
     scale,
 )
 from steinitz import primes, supernatural
-from helpers import OUTSIDE_PRIME, PRIME_POOL, _primes_below, pointwise_exponents, supernaturals
+from helpers import (
+    OUTSIDE_PRIME,
+    PRIME_POOL,
+    _primes_below,
+    join_format,
+    pointwise_exponents,
+    supernaturals,
+)
 
 naturals = st.integers(min_value=1, max_value=10_000)
 
@@ -124,6 +133,42 @@ class TestConstruction:
         assert str(SupernaturalNumber(1, {2: 0})) == "2^0*rest^1"
         assert str(SupernaturalNumber(INF)) == "rest^inf"
         assert str(SupernaturalNumber(0, {7: 3})) == "7^3"
+
+
+class TestText:
+    """str writes the canonical text; a join of one string per term is the reference."""
+
+    def test_matches_a_join_on_a_seeded_corpus(self):
+        rng = random.Random(1717)
+        pool = _primes_below(20_000)
+        corpus = [ONE, SupernaturalNumber(INF), SupernaturalNumber(10**31)]
+        for _ in range(400):
+            default = rng.choice((0, 0, 1, 2, INF, rng.randrange(10**30, 10**40)))
+            keys = rng.sample(pool, rng.choice((0, 1, 3, 12, 200)))
+            exponents = (0, 1, 1, 2, rng.randrange(100), INF, rng.randrange(10**30, 10**40))
+            corpus.append(SupernaturalNumber(default, {p: rng.choice(exponents) for p in keys}))
+        texts = [str(v) for v in corpus]
+        assert texts == [join_format(v) for v in corpus]
+        assert [parse_steinitz(text) for text in texts] == corpus
+        joined = " ".join(texts)
+        for form in ("^inf*", "^0*", "rest^inf", "rest^1 ", "rest^2 ", " 1 "):
+            assert form in joined
+        assert any(len(e) > 30 for e in re.findall(r"\^([0-9]+)\*", joined))
+        assert any(len(t.rpartition("rest^")[2]) > 30 for t in texts)
+
+    def test_peak_is_a_few_times_the_text(self):
+        """No string per term is held until the end: the peak stays under 4x the text."""
+        keys = _primes_below(8000)[:1000]
+        value = SupernaturalNumber(2, {p: (1, 3, INF)[i % 3] for i, p in enumerate(keys)})
+        size = len(str(value))
+        tracemalloc.start()
+        try:
+            text = str(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == size
+        assert peak <= 4 * size, (peak, size)
 
 
 class TestFromNatural:
