@@ -1,4 +1,4 @@
-"""Exception types shared across the package, how a message shows a value, the int guard."""
+"""Exception types shared across the package, how a message shows a value, the int guards."""
 
 from fractions import Fraction
 
@@ -21,6 +21,12 @@ def _shown(x) -> str:
     if isinstance(x, int) and abs(x) >= 10**MAX_NUMBER_DIGITS:
         return f"a {'negative ' * (x < 0)}{x.bit_length()}-bit number"
     return repr(x)
+
+
+def _check_int(x, what: str) -> None:
+    """Raise InvalidArgumentError unless x is an int (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidArgumentError(f"{what} must be an int, got {x!r}")
 
 
 def _check_positive_int(x, what: str) -> None:

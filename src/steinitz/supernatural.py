@@ -118,7 +118,7 @@ class SupernaturalNumber:
         seen: dict[int, Exponent] = {}
         for entry in items:
             p, e = entry
-            if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+            if not is_prime(p):
                 raise NotPrimeError(f"exception key {p!r} is not prime")
             _check_exponent(e, f"exponent of {p}")
             if p in seen:
@@ -332,7 +332,7 @@ def from_natural(n: int) -> SupernaturalNumber:
 
 def exponent_at(s: SupernaturalNumber, p: int) -> Exponent:
     """Exponent of the prime p in s (the default if p is not an exception)."""
-    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+    if not is_prime(p):
         raise NotPrimeError(f"{p!r} is not prime")
     # The keys ascend, and (p,) sorts before (p, e), so no exponent is compared.
     ex = s.exceptions

@@ -18,14 +18,13 @@ for reuse when freed, and those kept tuples raised the resident memory of
 verify runs.  The builders that take an order (``identity``, ``zero``,
 ``rank_projector``, ``diagonal``, ``random_idempotent``) and ``embed``/``kron``
 refuse an order or rank that is not an ``int`` (or is a ``bool``), and an order
-above ``MAX_STAGE_ORDER``, before allocating anything.  The stage, span and
-trial limits, and the largest order verify's corner-span suite draws
-(``FULLNESS_ORDER_CAP``), are module constants that no call can raise; the
-one cap a call can move is the rank cap of ``verify_corner_scaling``
-(``rank_order_cap``, default ``RANK_ORDER_CAP``), and even a raised rank cap
-leaves every stage order under ``MAX_STAGE_ORDER``.  An ``IdempotentElement``
-proves e*e = e when it is built and reads its rank off the trace, which is
-the rank of an idempotent over the rationals.
+above ``MAX_STAGE_ORDER``, before allocating anything.  The caps
+(``MAX_STAGE_ORDER``, ``SPAN_ORDER_CAP``, ``MAX_TRIALS``) are module constants
+that no call can move; ``RANK_ORDER_CAP`` and ``FULLNESS_ORDER_CAP`` are
+verify's draw bounds.  An ``IdempotentElement`` proves e*e = e when it is
+built and reads its rank off the trace, the rank of an idempotent over the
+rationals.  A seeded idempotent e = B C, with B = P[:, :r] and C = P^-1[:r, :]
+for a seeded unimodular P, is certified by C B = I_r: e*e = B (C B) C = e.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
@@ -54,6 +53,7 @@ from .errors import (
     NotADivisorError,
     SpanCapExceededError,
     ZeroIdempotentError,
+    _check_int,
     _check_positive_int,
     _shown,
 )
@@ -68,7 +68,8 @@ from .supernatural import (
     scale,
 )
 
-#: Default cap on stage orders for rank-based verification runs.
+#: Default largest tower order verify draws (``run_verification``, ``sample_tower``,
+#: ``--max-order``): a draw bound, not a cap.
 RANK_ORDER_CAP = 96
 #: Largest order verify's corner-span suite draws.
 FULLNESS_ORDER_CAP = 6
@@ -190,8 +191,7 @@ class MatrixStage:
 
 def _check_stage_order(n: int) -> None:
     """Refuse a non-int order, or one above MAX_STAGE_ORDER, before allocating."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidArgumentError(f"stage order must be an int, got {n!r}")
+    _check_int(n, "stage order")
     if n > MAX_STAGE_ORDER:
         raise InvalidArgumentError(f"stage order {_shown(n)} exceeds the cap {MAX_STAGE_ORDER}")
 
@@ -436,34 +436,30 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
                 if -bound <= min(new_row) and max(new_row) <= bound:
                     mat[j] = new_row
                     inv_t[i] = [x - c * y for x, y in zip(inv_t[i], inv_t[j])]
-    inv = [[col[k] for col in inv_t] for k in range(n)]
-    if _matmul_rows(mat, inv) != [[int(i == j) for j in range(n)] for i in range(n)]:
-        raise RuntimeError("unimodular bookkeeping failed")
-    return mat, inv
+    return mat, [[col[k] for col in inv_t] for k in range(n)]
 
 
 def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     """Seeded random idempotent of exact rank r in M_n.
 
     Conjugates diag(1,..,1,0,..,0) by a seeded unimodular integer matrix P,
-    as the one product P[:, :r] P^-1[:r, :], so the result is exactly
-    idempotent with integer entries and is reproducible per seed.
+    as the one product e = B C of B = P[:, :r] and C = P^-1[:r, :], certified
+    by C B = I_r (a ``RuntimeError`` if not), so the result is exactly
+    idempotent with integer entries and is reproducible per int seed.
     """
     _check_positive_int(n, "order")
     _check_stage_order(n)
     if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
         got = _shown(r) if isinstance(r, int) else repr(r)
         raise InvalidArgumentError(f"rank must satisfy 0 <= r <= {_shown(n)}, got {got}")
+    _check_int(seed, "seed")
+    if not r:
+        return IdempotentElement(MatrixStage.zero(n))
     p, p_inv = _unimodular(n, random.Random(seed))
-    if r:
-        e = MatrixStage._trusted(_matmul_rows([row[:r] for row in p], p_inv[:r]))
-    else:
-        e = MatrixStage.zero(n)
-    # The constructor proves e * e = e and reads the rank off the trace.
-    element = IdempotentElement(e)
-    if element.rank != r:
-        raise RuntimeError("seeded idempotent has a trace other than its rank")
-    return element
+    b, c = [row[:r] for row in p], p_inv[:r]
+    if _matmul_rows(c, b) != [[int(i == j) for j in range(r)] for i in range(r)]:
+        raise RuntimeError("seeded idempotent factors fail C B = I_r")
+    return IdempotentElement(MatrixStage._trusted(_matmul_rows(b, c)))
 
 
 @dataclass(frozen=True)
@@ -642,7 +638,6 @@ def verify_corner_scaling(
     tower: Tower,
     r: Fraction | int | str,
     seed: int,
-    rank_order_cap: int = RANK_ORDER_CAP,
 ) -> VerificationReport:
     """Ground the corner scaling law st(eAe) = r(e) * st(A) on one tower.
 
@@ -651,7 +646,7 @@ def verify_corner_scaling(
     stage that the relative rank is unchanged and the corner order equals
     r * n_i; finally the lcm of the observed corner orders is compared with
     the symbolic scaling of the tower lcm and checked to divide the scaled
-    descriptor.
+    descriptor.  A top order above ``MAX_STAGE_ORDER`` is refused first.
     """
     r = read_rational(r, "relative rank", at_most_one=True)
     first = tower.orders[0]
@@ -661,9 +656,6 @@ def verify_corner_scaling(
             f"the first stage order {_shown(first)}"
         )
     top = tower.top_order
-    if top > rank_order_cap:
-        cap = _shown(rank_order_cap)
-        raise InvalidArgumentError(f"top stage order {_shown(top)} exceeds the rank cap {cap}")
     _check_stage_order(top)
     if not divides(from_natural(top), descriptor_st):
         raise NotADivisorError(
@@ -758,9 +750,9 @@ def run_verification(
     witnesses for random coprime pairs, and corner span dimension plus
     fullness for random idempotents.  Deterministic for a fixed seed.
     """
-    if type(max_order) is not int or type(trials) is not int:
-        got = f"{type(max_order).__name__} and {type(trials).__name__}"
-        raise InvalidArgumentError(f"max order and trials must be integers, got {got}")
+    _check_int(seed, "seed")
+    _check_int(max_order, "max order")
+    _check_int(trials, "trials")
     if max_order < 2:
         raise InvalidArgumentError(f"max order must be at least 2, got {_shown(max_order)}")
     if trials < 1:
@@ -774,9 +766,7 @@ def run_verification(
         r = sample_relative_rank(rng, tower.orders[0])
         extra = rng.choice(_EXTRA_PATTERNS)
         st = mul(from_natural(tower.top_order), extra)
-        rep = verify_corner_scaling(
-            st, tower, r, seed=rng.randrange(2**32), rank_order_cap=max_order
-        )
+        rep = verify_corner_scaling(st, tower, r, seed=rng.randrange(2**32))
         reports.append(rep.prefixed(f"corner-tower.t{t:02d}"))
     side_trials = max(1, trials // 4)
     for t in range(side_trials):

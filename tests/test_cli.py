@@ -485,7 +485,7 @@ class TestErrorContract:
             lambda: corner_isomorphism(random_idempotent(4, 2, 9)).lift(MatrixStage.identity(3)),
             lambda: Tower(()),
             lambda: Tower((2, 3)),
-            lambda: verify_corner_scaling(from_natural(128), Tower((128,)), 1, 0),
+            lambda: verify_corner_scaling(from_natural(768), Tower((768,)), 1, 0),
             lambda: proper_corner_witness(3, 2, 1),
             lambda: proper_corner_witness(2, 4, 1),
             lambda: SupernaturalNumber(-1),

@@ -22,6 +22,7 @@ from steinitz import (
     DenominatorDoesNotDivideError,
     FactorizationError,
     Infinity,
+    InvalidArgumentError,
     NotPrimeError,
     RatioTooLargeError,
     SupernaturalNumber,
@@ -109,6 +110,15 @@ class TestConstruction:
     def test_rejects_composite_key(self):
         with pytest.raises(NotPrimeError):
             SupernaturalNumber(0, {4: 1})
+
+    @pytest.mark.parametrize("key", [2.0, True, "2"])
+    def test_non_int_key_is_an_argument_error(self, key):
+        """is_prime owns the key type rule: a non-int key is not reported as a non-prime."""
+        message = f"^is_prime takes an integer, got {re.escape(repr(key))}$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            SupernaturalNumber(0, {key: 1})
+        with pytest.raises(InvalidArgumentError, match=message):
+            exponent_at(ONE, key)
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(ValueError):

@@ -324,12 +324,82 @@ class TestRandomIdempotent:
         with pytest.raises(ValueError):
             random_idempotent(3, -1, seed=1)
 
-    def test_trace_self_check(self, monkeypatch):
-        """rank(e) = tr(e) for an idempotent; a trace off by one must not pass."""
-        r = 2
-        monkeypatch.setattr(MatrixStage, "trace", lambda self: r + 1)
-        with pytest.raises(RuntimeError, match="trace"):
-            random_idempotent(5, r, seed=3)
+    @staticmethod
+    def _corrupting(rows):
+        """A stub of ``_unimodular`` adding 1 to one entry of each chosen row of the inverse.
+
+        The entry sits in a column j with P[j][0] != 0, so a changed row of C
+        changes C B.
+        """
+        real = tower._unimodular
+
+        def stub(n, rng):
+            p, p_inv = real(n, rng)
+            j = next(j for j in range(n) if p[j][0])
+            for i in rows(n):
+                p_inv[i][j] += 1
+            return p, p_inv
+
+        return stub
+
+    def test_factor_certificate_self_check(self, monkeypatch):
+        """A wrong entry in C = P^-1[:r, :] fails C B = I_r: a RuntimeError, not an argument error."""
+        n, r = 5, 2
+        for i in range(r):
+            monkeypatch.setattr(tower, "_unimodular", self._corrupting(lambda n: [i]))
+            with pytest.raises(RuntimeError, match=r"C B = I_r") as exc:
+                random_idempotent(n, r, seed=3)
+            assert not isinstance(exc.value, InvalidArgumentError)
+
+    def test_rows_past_the_rank_are_not_read(self, monkeypatch):
+        """e = B C uses only the first r rows of P^-1: corrupting the rest changes nothing."""
+        for n, r in ((5, 2), (12, 5), (24, 1)):
+            expected = random_idempotent(n, r, seed=3)
+            monkeypatch.setattr(tower, "_unimodular", self._corrupting(lambda n: range(r, n)))
+            assert random_idempotent(n, r, seed=3) == expected
+            monkeypatch.undo()
+
+    def test_one_cubic_product_per_idempotent(self, monkeypatch):
+        """C B (r x n x r), then e = B C (n x r x n), then the constructor's e e (n x n x n)."""
+        shapes = []
+        real = tower._matmul_rows
+
+        def recording(a, b):
+            shapes.append((len(a), len(b), len(b[0])))
+            return real(a, b)
+
+        monkeypatch.setattr(tower, "_matmul_rows", recording)
+        for n, r in ((1, 1), (5, 2), (24, 12), (40, 39), (96, 40)):
+            shapes.clear()
+            random_idempotent(n, r, seed=n)
+            assert shapes == [(r, n, r), (n, r, n), (n, n, n)], (n, r)
+        shapes.clear()
+        random_idempotent(7, 0, seed=1)
+        assert shapes == [(7, 7, 7)]
+
+    # sha256 of repr(e.matrix.entries), concatenated over n = 1..40,
+    # r in sorted({0, 1, n // 2, n}) and seeds 0..2, as the former build made them
+    # (P P^-1 = I checked in full, and the trace checked against r).
+    VALUES_SHA256 = "d585ebd2adf94b46f55004ee23ef692294c8c8a76d884dc3d930dfa61087c20c"
+
+    def test_values_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(1, 41):
+            for r in sorted({0, 1, n // 2, n}):
+                for s in range(3):
+                    digest.update(repr(random_idempotent(n, r, s).matrix.entries).encode())
+        assert digest.hexdigest() == self.VALUES_SHA256
+
+    @pytest.mark.parametrize("seed", [None, 7.5, "7", True, Fraction(1, 2)])
+    def test_seed_must_be_an_int(self, seed):
+        message = f"^seed must be an int, got {re.escape(repr(seed))}$"
+        for call in (
+            lambda: random_idempotent(4, 2, seed),
+            lambda: verify_corner_scaling(from_natural(4), Tower((4,)), F(1, 2), seed),
+            lambda: run_verification(seed, 24, 2),
+        ):
+            with pytest.raises(InvalidArgumentError, match=message):
+                call()
 
     def test_from_matrix_validates(self):
         e = IdempotentElement(MatrixStage.rank_projector(4, 2))
@@ -843,13 +913,11 @@ class TestTowerContract:
             iso = corner_isomorphism(e)
             assert iso.apply(e.matrix) == MatrixStage.identity(e.rank)
 
-    def test_rank_cap_is_the_one_cap_a_call_moves(self, monkeypatch):
-        """A raised rank cap admits a taller tower, but never a stage above MAX_STAGE_ORDER."""
+    def test_stage_cap_is_the_one_tower_limit(self, monkeypatch):
+        """Any tower up to MAX_STAGE_ORDER is verified; none above it builds a stage."""
         st_val = SupernaturalNumber(0, {2: INF, 3: INF})
-        with pytest.raises(InvalidArgumentError, match="exceeds the rank cap 96"):
-            verify_corner_scaling(st_val, Tower((4, 128)), F(1, 2), seed=0)
-        report = verify_corner_scaling(st_val, Tower((4, 128)), F(1, 2), seed=0, rank_order_cap=128)
-        assert report.all_passed
+        for orders in ((4, 128), (96, 384)):
+            assert verify_corner_scaling(st_val, Tower(orders), F(1, 2), seed=0).all_passed
         sizes = []
         trusted = tower.MatrixStage._trusted.__func__
 
@@ -861,11 +929,50 @@ class TestTowerContract:
         monkeypatch.setattr(tower.MatrixStage, "_trusted", classmethod(recording))
         for orders in ((2, 768), (384, 768)):
             with pytest.raises(InvalidArgumentError, match="stage order 768 exceeds the cap 384"):
-                verify_corner_scaling(st_val, Tower(orders), F(1, 2), seed=0, rank_order_cap=10**6)
+                verify_corner_scaling(st_val, Tower(orders), F(1, 2), seed=0)
         assert sizes == []
 
+    # Every tower callable the package exports, with its parameters.
+    SIGNATURES = {
+        "CheckLine": ["name", "stage", "expected", "got", "passed"],
+        "CornerIsomorphism": ["rank", "to_diagonal", "from_diagonal"],
+        "IdempotentElement": ["matrix"],
+        "MatrixStage": ["entries"],
+        "Tower": ["orders"],
+        "VerificationReport": ["checks"],
+        "corner_isomorphism": ["e"],
+        "corner_span_dimension": ["e"],
+        "embed": ["a", "k"],
+        "exact_rank": ["a"],
+        "is_full_idempotent": ["e"],
+        "kron": ["a", "b"],
+        "proper_corner_witness": ["m", "n", "stage_order"],
+        "random_idempotent": ["n", "r", "seed"],
+        "relative_rank": ["a"],
+        "run_verification": ["seed", "max_order", "trials"],
+        "verify_corner_scaling": ["descriptor_st", "tower", "r", "seed"],
+    }
+
     def test_no_call_moves_a_tower_cap(self):
-        assert list(inspect.signature(is_full_idempotent).parameters) == ["e"]
+        """No exported tower callable, nor a public method of one, takes a ``*_cap`` parameter."""
+        import steinitz
+
+        exported = {
+            name: getattr(steinitz, name)
+            for name in steinitz.__all__
+            if callable(getattr(steinitz, name))
+            and getattr(steinitz, name).__module__ == tower.__name__
+        }
+        assert sorted(exported) == sorted(self.SIGNATURES)
+        callables = [tower.sample_tower]
+        for name, obj in exported.items():
+            assert list(inspect.signature(obj).parameters) == self.SIGNATURES[name], name
+            callables.append(obj)
+            if inspect.isclass(obj):
+                callables += [f for m, f in inspect.getmembers(obj, callable) if m[0] != "_"]
+        for obj in callables:
+            params = inspect.signature(obj).parameters
+            assert not [p for p in params if p.endswith("_cap")], obj
         assert list(inspect.signature(tower.sample_tower).parameters) == ["rng", "max_order"]
         assert tower.MAX_STAGE_ORDER == 384
 
@@ -1018,7 +1125,7 @@ class TestVerifyCornerScaling:
         with pytest.raises(TypeError):
             verify_corner_scaling(st_val, Tower((4, 8)), 0.5, seed=0)
         with pytest.raises(ValueError):
-            verify_corner_scaling(st_val, Tower((2, 128)), F(1, 2), seed=0)
+            verify_corner_scaling(st_val, Tower((2, 768)), F(1, 2), seed=0)
 
     def test_deterministic_per_seed(self):
         st_val = SupernaturalNumber(0, {2: INF, 3: 2})
@@ -1074,6 +1181,10 @@ class TestRunVerification:
             run_verification(seed=0, trials=0)
         with pytest.raises(ValueError):
             run_verification(seed=0, max_order=1)
+
+    def test_negative_seed_accepted(self):
+        """The CLI's ``--seed -1`` reaches run_verification as a negative int."""
+        assert run_verification(-1, 24, 2).all_passed
 
     def test_trials_are_capped(self):
         with pytest.raises(InvalidArgumentError, match="at most 500 trials"):
