@@ -646,7 +646,8 @@ def verify_corner_scaling(
     stage that the relative rank is unchanged and the corner order equals
     r * n_i; finally the lcm of the observed corner orders is compared with
     the symbolic scaling of the tower lcm and checked to divide the scaled
-    descriptor.  A top order above ``MAX_STAGE_ORDER`` is refused first.
+    descriptor.  A top order above ``MAX_STAGE_ORDER`` is refused before any
+    stage is built.
     """
     r = read_rational(r, "relative rank", at_most_one=True)
     first = tower.orders[0]

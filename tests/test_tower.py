@@ -39,6 +39,7 @@ from steinitz import (
     scale,
     verify_corner_scaling,
 )
+import steinitz
 from steinitz import tower
 from steinitz.tower import CheckLine, VerificationReport
 from helpers import (
@@ -377,9 +378,8 @@ class TestRandomIdempotent:
         random_idempotent(7, 0, seed=1)
         assert shapes == [(7, 7, 7)]
 
-    # sha256 of repr(e.matrix.entries), concatenated over n = 1..40,
-    # r in sorted({0, 1, n // 2, n}) and seeds 0..2, as the former build made them
-    # (P P^-1 = I checked in full, and the trace checked against r).
+    # sha256 of repr(e.matrix.entries) over n = 1..40, r in sorted({0, 1, n // 2, n})
+    # and seeds 0..2, recorded while P P^-1 = I was still checked in full.
     VALUES_SHA256 = "d585ebd2adf94b46f55004ee23ef692294c8c8a76d884dc3d930dfa61087c20c"
 
     def test_values_pinned(self):
@@ -955,8 +955,6 @@ class TestTowerContract:
 
     def test_no_call_moves_a_tower_cap(self):
         """No exported tower callable, nor a public method of one, takes a ``*_cap`` parameter."""
-        import steinitz
-
         exported = {
             name: getattr(steinitz, name)
             for name in steinitz.__all__
