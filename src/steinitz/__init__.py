@@ -18,6 +18,7 @@ Three layers:
 """
 
 from .errors import (
+    ArgumentTypeError,
     DenominatorDoesNotDivideError,
     DuplicatePrimeError,
     DuplicateRestError,
@@ -95,6 +96,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraDescriptor",
+    "ArgumentTypeError",
     "CheckLine",
     "CornerComparison",
     "CornerIsomorphism",

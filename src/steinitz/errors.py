@@ -1,4 +1,4 @@
-"""Exception types shared across the package, how a message shows a value, the int guards."""
+"""Exception types, how a message shows a value, and the one rule for each scalar argument."""
 
 from fractions import Fraction
 
@@ -23,17 +23,22 @@ def _shown(x) -> str:
     return repr(x)
 
 
+def _is_exact(x) -> bool:
+    """Whether x is an exact rational: an int or a Fraction, not a bool."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _check_int(x, what: str) -> None:
-    """Raise InvalidArgumentError unless x is an int (not a bool)."""
+    """Raise ArgumentTypeError unless x is an int (not a bool)."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise InvalidArgumentError(f"{what} must be an int, got {x!r}")
+        raise ArgumentTypeError(f"{what} must be an int, got {x!r}")
 
 
 def _check_positive_int(x, what: str) -> None:
-    """Raise InvalidArgumentError unless x is an int (not a bool) of at least 1."""
-    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        got = _shown(x) if isinstance(x, int) else repr(x)  # repr tells Fraction(2, 1) from 2
-        raise InvalidArgumentError(f"{what} must be a positive integer, got {got}")
+    """Raise ArgumentTypeError unless x is an int, InvalidArgumentError if it is below 1."""
+    _check_int(x, what)
+    if x < 1:
+        raise InvalidArgumentError(f"{what} must be a positive integer, got {_shown(x)}")
 
 
 class SteinitzError(Exception):
@@ -45,6 +50,10 @@ class InvalidArgumentError(SteinitzError, ValueError):
 
     Still a ValueError, so library callers that catch ValueError keep working.
     """
+
+
+class ArgumentTypeError(InvalidArgumentError, TypeError):
+    """A scalar argument of the wrong type, such as a float; also a TypeError."""
 
 
 class FactorizationError(SteinitzError):

@@ -29,7 +29,6 @@ from .errors import (
 from .primes import factorize
 from .supernatural import (
     SupernaturalNumber,
-    from_natural,
     is_infinite,
     mul,
     rationally_connected,
@@ -91,7 +90,7 @@ def are_morita_equivalent(a: AlgebraDescriptor, b: AlgebraDescriptor) -> bool:
 def matrix_over(a: AlgebraDescriptor, k: int) -> AlgebraDescriptor:
     """Descriptor of the k x k matrix algebra over a."""
     _check_positive_int(k, "matrix order")
-    return AlgebraDescriptor(mul(from_natural(k), a.steinitz))
+    return AlgebraDescriptor(scale(a.steinitz, k))
 
 
 def tensor(a: AlgebraDescriptor, b: AlgebraDescriptor) -> AlgebraDescriptor:

@@ -28,7 +28,13 @@ from bisect import bisect_right
 from functools import cache
 from math import gcd, isqrt
 
-from .errors import FactorizationError, InvalidArgumentError, _check_positive_int, _shown
+from .errors import (
+    FactorizationError,
+    InvalidArgumentError,
+    _check_int,
+    _check_positive_int,
+    _shown,
+)
 
 #: Largest trial divisor attempted when the caller does not override it.
 DEFAULT_TRIAL_BOUND = 1 << 20
@@ -82,8 +88,7 @@ _default_trial_bound = DEFAULT_TRIAL_BOUND
 
 def _check_trial_bound(bound) -> None:
     """Raise InvalidArgumentError unless bound is an int from 2 to MAX_TRIAL_BOUND."""
-    if isinstance(bound, bool) or not isinstance(bound, int):
-        raise InvalidArgumentError(f"trial bound must be an integer, got {bound!r}")
+    _check_int(bound, "trial bound")
     if bound < 2:
         raise InvalidArgumentError(f"trial bound must be at least 2, got {_shown(bound)}")
     if bound > MAX_TRIAL_BOUND:
@@ -120,11 +125,10 @@ def is_prime(n: int) -> bool:
     k is the least with n < psi_k in the _MR_PSI table: one witness below
     2047, two below 1373653, and all twelve, 2..37, from psi_11 on.  Raises
     InvalidArgumentError for n >= 318665857834031151167461 = psi_12, where
-    the twelve witnesses no longer decide primality, and for an n that is
-    not an int (or is a bool).
+    the twelve witnesses no longer decide primality, and its subclass
+    ArgumentTypeError for an n that is not an int (or is a bool).
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidArgumentError(f"is_prime takes an integer, got {n!r}")
+    _check_int(n, "is_prime's argument")
     if n < 2:
         return False
     if n >= _MR_EXACT_BELOW:

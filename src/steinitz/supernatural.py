@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     MAX_NUMBER_DIGITS,
+    ArgumentTypeError,
     DenominatorDoesNotDivideError,
     DuplicatePrimeError,
     DuplicateRestError,
@@ -42,7 +43,9 @@ from .errors import (
     RatioTooLargeError,
     SteinitzError,
     SteinitzSyntaxError,
+    _check_int,
     _check_positive_int,
+    _is_exact,
     _shown,
 )
 from .primes import factorize, is_prime
@@ -90,10 +93,11 @@ def is_infinite(e: Exponent) -> bool:
 def _check_exponent(e, what: str) -> None:
     if isinstance(e, Infinity):
         return
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise TypeError(f"{what} must be a nonnegative int or INF, got {e!r}")
+    _check_int(e, what)
     if e < 0:
         raise InvalidArgumentError(f"{what} must be nonnegative, got {_shown(e)}")
+    if e >= 10**MAX_NUMBER_DIGITS:  # the parser's limit, which str can always print
+        raise InvalidArgumentError(f"{what} must be below 10**{MAX_NUMBER_DIGITS}, got {_shown(e)}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def parse_steinitz(text: str) -> SupernaturalNumber:
     the position of the offending token.  Each base is proven prime once.
     """
     if not isinstance(text, str):
-        raise TypeError(f"expected expression text, got {text!r}")
+        raise ArgumentTypeError(f"expected expression text, got {text!r}")
     tokens = _scan(text)
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
@@ -291,8 +295,8 @@ def read_rational(
     Fraction, or ASCII text 'm' or 'm/n' with at most MAX_NUMBER_DIGITS
     digits in each number, so exponent notation and overlong literals
     cannot start unbounded work.  Floats, bools and other types raise
-    TypeError; other text and values out of range raise
-    InvalidArgumentError.
+    ArgumentTypeError (a TypeError); other text and values out of range
+    raise InvalidArgumentError.
     """
     if isinstance(q, str):
         match = _RATIONAL.fullmatch(q)
@@ -302,10 +306,10 @@ def read_rational(
                 f"digits each, got {q!r}"
             )
         value = Fraction(int(match[1]), int(match[2] or 1))
-    elif isinstance(q, (int, Fraction)) and not isinstance(q, bool):
+    elif _is_exact(q):
         value = Fraction(q)
     else:
-        raise TypeError(f"{what} must be exact (int, Fraction or 'm/n' text), got {q!r}")
+        raise ArgumentTypeError(f"{what} must be exact (int, Fraction or 'm/n' text), got {q!r}")
     if at_most_one and not 0 < value <= 1:
         raise InvalidArgumentError(f"{what} must lie in (0, 1], got {_shown(value)}")
     if value <= 0:

@@ -3,8 +3,8 @@
 Everything here is exact: square matrices over the rational field, unital
 block-diagonal embeddings along a divisibility chain of orders, and seeded
 random idempotents.  A stage keeps each entry as given: an ``int`` stays an
-``int`` and a ``Fraction`` stays a ``Fraction`` (floats and bools raise
-``TypeError``), so the integer matrices the verification builds never pay
+``int`` and a ``Fraction`` stays a ``Fraction`` (any other entry, bools too, raises
+``ArgumentTypeError``), so the integer matrices the verification builds never pay
 for rational arithmetic.  A stage is built one of two ways.  The public
 ``MatrixStage(rows)`` validates: it checks that the rows are square and every
 entry exact (``diagonal`` checks its n values).  The private
@@ -48,6 +48,7 @@ from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .errors import (
+    ArgumentTypeError,
     DenominatorDoesNotDivideError,
     InvalidArgumentError,
     NotADivisorError,
@@ -55,6 +56,7 @@ from .errors import (
     ZeroIdempotentError,
     _check_int,
     _check_positive_int,
+    _is_exact,
     _shown,
 )
 from .supernatural import (
@@ -89,14 +91,10 @@ _SHEAR_FACTORS = (-2, -1, 1, 2)
 _INT_ONLY = {int}
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def _check_exact(values: Iterable) -> None:
     for x in values:
         if not _is_exact(x):
-            raise TypeError(f"matrix entries must be exact (int or Fraction), got {x!r}")
+            raise ArgumentTypeError(f"matrix entries must be exact (int or Fraction), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,9 @@ class MatrixStage:
     def rank_projector(cls, n: int, r: int) -> MatrixStage:
         """diag(1, .., 1, 0, .., 0) with r ones."""
         _check_stage_order(n)
-        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
-            got = f"got r={_shown(r) if isinstance(r, int) else repr(r)}, n={_shown(n)}"
+        _check_int(r, "projector rank")
+        if not 0 <= r <= n:
+            got = f"got r={_shown(r)}, n={_shown(n)}"
             raise InvalidArgumentError(f"projector rank must satisfy 0 <= r <= n, {got}")
         return cls.diagonal([1] * r + [0] * (n - r))
 
@@ -449,9 +448,9 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     """
     _check_positive_int(n, "order")
     _check_stage_order(n)
-    if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= n:
-        got = _shown(r) if isinstance(r, int) else repr(r)
-        raise InvalidArgumentError(f"rank must satisfy 0 <= r <= {_shown(n)}, got {got}")
+    _check_int(r, "rank")
+    if not 0 <= r <= n:
+        raise InvalidArgumentError(f"rank must satisfy 0 <= r <= {_shown(n)}, got {_shown(r)}")
     _check_int(seed, "seed")
     if not r:
         return IdempotentElement(MatrixStage.zero(n))

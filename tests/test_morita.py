@@ -29,7 +29,14 @@ from steinitz import (
     tensor,
 )
 from steinitz import morita, supernatural
-from helpers import pairwise_enumerate, random_supernatural, supernaturals
+from helpers import (
+    OUTSIDE_PRIME,
+    PRIME_POOL,
+    pairwise_enumerate,
+    pointwise_exponents,
+    random_supernatural,
+    supernaturals,
+)
 
 descriptors = supernaturals.map(AlgebraDescriptor)
 naturals = st.integers(min_value=1, max_value=400)
@@ -94,6 +101,20 @@ class TestMatrixOverAndDecompose:
         assert decompose_matrix_factor(grown, n) == a or are_morita_equivalent(grown, a)
         # The descriptor recovered after growing is exactly the original.
         assert decompose_matrix_factor(grown, n).steinitz == a.steinitz
+
+    @pytest.mark.parametrize("default", [0, 2, INF])
+    def test_adds_the_valuations_of_k(self, default):
+        """k * s raises each exponent by v_p(k), checked against the pointwise oracle."""
+        rng = random.Random(2200)
+        pool = PRIME_POOL + (OUTSIDE_PRIME,)
+        for _ in range(200):
+            s = SupernaturalNumber(default, random_supernatural(rng).exceptions)
+            powers = {p: rng.randint(1, 3) for p in rng.sample(pool, rng.randint(0, 4))}
+            k = math.prod(p**e for p, e in powers.items())
+            got = matrix_over(AlgebraDescriptor(s), k).steinitz
+            assert got.default_exp == default
+            want = {p: e + powers.get(p, 0) for p, e in pointwise_exponents(s).items()}
+            assert pointwise_exponents(got) == want, (s, k)
 
     def test_decompose_requires_divisor(self):
         with pytest.raises(NotADivisorError):

@@ -1,12 +1,20 @@
 import math
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from steinitz import FactorizationError, InvalidArgumentError, factorize, is_prime, primes
+from steinitz import (
+    ArgumentTypeError,
+    FactorizationError,
+    InvalidArgumentError,
+    factorize,
+    is_prime,
+    primes,
+)
 from steinitz.primes import get_default_trial_bound, set_default_trial_bound
 from helpers import PRIME_POOL, strong_probable_prime, sweep_factorize, twelve_witness_is_prime
 
@@ -61,8 +69,10 @@ def test_is_prime_refuses_what_it_cannot_prove(n):
 @pytest.mark.parametrize("n", [7.0, 4.5, "7", True, False, Fraction(7), None])
 def test_is_prime_takes_only_ints(n):
     """A float, a str, a bool or any other non-int is an argument error, not an answer."""
-    with pytest.raises(InvalidArgumentError, match="is_prime takes an integer"):
+    message = f"^is_prime's argument must be an int, got {re.escape(repr(n))}$"
+    with pytest.raises(ArgumentTypeError, match=message) as exc:
         is_prime(n)
+    assert isinstance(exc.value, InvalidArgumentError) and isinstance(exc.value, TypeError)
 
 
 def test_is_prime_below_the_bound():

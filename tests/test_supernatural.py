@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 from steinitz import (
     INF,
     ONE,
+    ArgumentTypeError,
     DenominatorDoesNotDivideError,
     FactorizationError,
     Infinity,
@@ -114,10 +115,10 @@ class TestConstruction:
     @pytest.mark.parametrize("key", [2.0, True, "2"])
     def test_non_int_key_is_an_argument_error(self, key):
         """is_prime owns the key type rule: a non-int key is not reported as a non-prime."""
-        message = f"^is_prime takes an integer, got {re.escape(repr(key))}$"
-        with pytest.raises(InvalidArgumentError, match=message):
+        message = f"^is_prime's argument must be an int, got {re.escape(repr(key))}$"
+        with pytest.raises(ArgumentTypeError, match=message):
             SupernaturalNumber(0, {key: 1})
-        with pytest.raises(InvalidArgumentError, match=message):
+        with pytest.raises(ArgumentTypeError, match=message):
             exponent_at(ONE, key)
 
     def test_rejects_duplicate_key(self):
@@ -129,6 +130,20 @@ class TestConstruction:
             SupernaturalNumber(0, {2: -1})
         with pytest.raises(ValueError):
             SupernaturalNumber(-1)
+
+    def test_exponent_has_at_most_the_parser_digits(self):
+        """An exponent of more than MAX_NUMBER_DIGITS digits is refused where it enters, so
+        str never meets one it cannot print and every exponent reads back."""
+        for e, shown in ((10**1000, "a 3322-bit number"), (10**5000, "a 16610-bit number")):
+            message = re.escape(f"must be below 10**1000, got {shown}")
+            with pytest.raises(InvalidArgumentError, match=f"^exponent of 2 {message}$"):
+                SupernaturalNumber(0, {2: e})
+            with pytest.raises(InvalidArgumentError, match=f"^default exponent {message}$"):
+                SupernaturalNumber(e)
+        top = 10**1000 - 1
+        for s in (SupernaturalNumber(0, {2: top}), SupernaturalNumber(top, {3: 1})):
+            assert parse_steinitz(str(s)) == s
+            assert str(top) in repr(s)
 
     def test_rejects_inexact_exponent(self):
         with pytest.raises(TypeError):

@@ -191,7 +191,8 @@ class TestEntryContract:
         assert offenders == [], f"tuple(<generator>) at {offenders}"
 
     def test_no_plain_value_error_is_raised(self):
-        """Argument errors raise InvalidArgumentError, a SteinitzError that is still a ValueError."""
+        """Argument errors raise InvalidArgumentError or ArgumentTypeError, SteinitzErrors
+        that are still a ValueError and a TypeError: no plain ValueError or TypeError."""
         offenders = [
             f"{path.name}:{node.lineno}"
             for path in sorted(Path(tower.__file__).parent.glob("*.py"))
@@ -199,9 +200,9 @@ class TestEntryContract:
             if isinstance(node, ast.Raise)
             and node.exc is not None
             and isinstance(getattr(node.exc, "func", node.exc), ast.Name)
-            and getattr(node.exc, "func", node.exc).id == "ValueError"
+            and getattr(node.exc, "func", node.exc).id in {"ValueError", "TypeError"}
         ]
-        assert offenders == [], f"raise ValueError at {offenders}"
+        assert offenders == [], f"raise ValueError or TypeError at {offenders}"
 
     def test_no_floating_point_in_the_package(self):
         """No float constant and no float(...) call anywhere in the package."""
