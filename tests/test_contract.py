@@ -19,7 +19,6 @@ from steinitz import (
     AlgebraDescriptor,
     ArgumentTypeError,
     IdempotentElement,
-    InvalidArgumentError,
     MatrixStage,
     SteinitzError,
     SupernaturalNumber,
@@ -138,7 +137,7 @@ def test_every_public_call_is_in_the_table():
 def test_valid_call_returns(name):
     f, args = VALID_CALLS[name]
     params = list(inspect.signature(f).parameters.values())
-    assert len(args) <= len(params)
+    assert len(args) == len(params)
     assert all(isinstance(p.annotation, str) and p.annotation for p in params)
     f(*args)
 
@@ -168,7 +167,7 @@ def test_bad_scalar_returns_or_raises_a_steinitz_error(name, slot, index):
     f, args = VALID_CALLS[name]
     for bad in BAD_VALUES:
         call = list(args)
-        call[index:index + 1] = [bad]
+        call[index] = bad
         try:
             f(*call)
         except SteinitzError:
@@ -194,6 +193,5 @@ def test_bad_scalar_returns_or_raises_a_steinitz_error(name, slot, index):
 )
 def test_a_wrong_type_raises_one_class(call):
     """A scalar of the wrong type raises ArgumentTypeError, whichever entry point it reaches."""
-    with pytest.raises(ArgumentTypeError) as exc:
+    with pytest.raises(ArgumentTypeError):
         call()
-    assert isinstance(exc.value, InvalidArgumentError) and isinstance(exc.value, TypeError)
