@@ -167,7 +167,8 @@ def factorize(n: int, trial_bound: int | None = None) -> dict[int, int]:
     """
     _check_positive_int(n, "the number to factor")
     bound = _default_trial_bound if trial_bound is None else trial_bound
-    _check_trial_bound(bound)
+    if trial_bound is not None:  # the default was checked when it was set
+        _check_trial_bound(bound)
 
     remaining = n
     factors: dict[int, int] = {}

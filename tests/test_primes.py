@@ -268,6 +268,17 @@ def test_default_trial_bound_roundtrip():
         set_default_trial_bound(1)
 
 
+def test_only_a_passed_bound_is_checked(monkeypatch):
+    """The default was checked when it was set, so factorize checks only a bound passed in."""
+    checked = []
+    check = primes._check_trial_bound
+    monkeypatch.setattr(primes, "_check_trial_bound", lambda b: checked.append(b) or check(b))
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert checked == []
+    assert factorize(360, 100) == {2: 3, 3: 2, 5: 1}
+    assert checked == [100]
+
+
 def test_factorize_tiny_bound_is_an_invalid_argument():
     with pytest.raises(InvalidArgumentError, match="trial bound must be at least 2, got 1"):
         factorize(6, trial_bound=1)
