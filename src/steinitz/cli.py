@@ -21,6 +21,7 @@ namespace, and argparse reads the help width (``COLUMNS``) and
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache, reduce
 
@@ -50,14 +51,17 @@ from .supernatural import (
 from .tower import RANK_ORDER_CAP, run_verification
 
 
+# ASCII digits and an optional '-': int() alone also reads '+', '_' and other scripts' digits.
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
 def _integer(text: str) -> int:
     """An integer argument; more than MAX_NUMBER_DIGITS digits are refused unread."""
     if sum(c.isdigit() for c in text) > MAX_NUMBER_DIGITS:
         raise argparse.ArgumentTypeError(f"number longer than {MAX_NUMBER_DIGITS} digits")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 # The five printers: each prints a result and returns the exit code.

@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-#: Longest number, in digits, that the expression text may contain.  Every exponent it
-#: accepts then prints in at most 1000 digits, and so does a sum of argv-many of them (the
-#: ``mul`` command; argv holds far fewer than 10**7 terms, which add at most 7 digits),
-#: all under CPython's 4300-digit int-to-str limit.  Error messages show an int up to it.
+#: Longest number, in digits, that the expression text may contain.  Every finite exponent,
+#: read from text, given to the constructor or computed by ``mul`` and ``scale``, is below
+#: 10**MAX_NUMBER_DIGITS, so each value prints under CPython's 4300-digit int-to-str limit
+#: as text that parses back.  Error messages show an int up to it.
 MAX_NUMBER_DIGITS = 1000
 
 

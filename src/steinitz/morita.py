@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterator
 
 from .errors import (
@@ -164,10 +164,12 @@ def _morita_class(a: AlgebraDescriptor, bound: int) -> Iterator[SupernaturalNumb
     """The members of enumerate_morita_class, one at a time.
 
     q * st(A) exists exactly when no prime divides n more often than its
-    finite exponent in st(A) allows, and two such q give the same member
-    exactly when they agree after the primes of infinite exponent are
-    stripped out.  So each n is factored once, each m and n is reduced to
-    its stripped part once, and scale is called only for a new member.
+    finite exponent in st(A) allows.  Two such q give the same member exactly
+    when they agree at every prime whose exponent in st(A) is finite, so the
+    key of m/n is the pair of finite parts: the product of p**v over the
+    prime powers p**v of m (and of n) whose exponent in st(A) is finite.
+    Each k up to the bound is factored once, and scale is called only for a
+    new member.
     """
     _check_positive_int(bound, "bound")
     if bound > MAX_ENUMERATE_BOUND:
@@ -176,29 +178,18 @@ def _morita_class(a: AlgebraDescriptor, bound: int) -> Iterator[SupernaturalNumb
         )
     s = a.steinitz
     listed = dict(s.exceptions)
-    if is_infinite(s.default_exp):
-        keep = [p for p, e in listed.items() if not is_infinite(e) and p <= bound]
-        stripped = [0] + [_part_over(k, keep) for k in range(1, bound + 1)]
-    else:
-        drop = [p for p, e in listed.items() if is_infinite(e) and p <= bound]
-        stripped = [0] + [k // _part_over(k, drop) for k in range(1, bound + 1)]
+    factors = [factorize(k).items() for k in range(1, bound + 1)]
+    finite_part = [0] + [
+        prod(p**v for p, v in f if not is_infinite(listed.get(p, s.default_exp)))
+        for f in factors
+    ]
     seen: set[tuple[int, int]] = set()
     for n in range(1, bound + 1):
-        if any(v > listed.get(p, s.default_exp) for p, v in factorize(n).items()):
+        if any(v > listed.get(p, s.default_exp) for p, v in factors[n - 1]):
             continue
-        n_part = stripped[n]
+        n_part = finite_part[n]
         for m in range(1, bound + 1):
-            key = (stripped[m], n_part)
+            key = (finite_part[m], n_part)
             if key not in seen and gcd(m, n) == 1:
                 seen.add(key)
                 yield scale(s, Fraction(m, n))
-
-
-def _part_over(k: int, primes: list[int]) -> int:
-    """The largest divisor of the positive k made of the given primes."""
-    part = 1
-    for p in primes:
-        while k % p == 0:
-            k //= p
-            part *= p
-    return part

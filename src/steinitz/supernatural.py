@@ -14,9 +14,10 @@ Values are immutable and canonicalized on construction, so structural
 equality coincides with semantic equality.  The public constructor proves
 every key prime; the values this module computes from canonical values,
 from :func:`factorize` or from bases the parser has proven are built by
-``SupernaturalNumber._trusted``, which proves nothing again.  This module
+``SupernaturalNumber._trusted``, which proves nothing again; ``mul`` and
+``scale`` still refuse an exponent that the text could not hold.  This module
 also owns the expression text: ``str`` writes it and :func:`parse_steinitz`
-reads it, proving each base once.
+reads it, after searching it for scan errors, proving each base once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import prod
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -41,7 +42,6 @@ from .errors import (
     InvalidArgumentError,
     NotPrimeError,
     RatioTooLargeError,
-    SteinitzError,
     SteinitzSyntaxError,
     _check_int,
     _check_positive_int,
@@ -90,13 +90,17 @@ def is_infinite(e: Exponent) -> bool:
     return isinstance(e, Infinity)
 
 
+#: Every finite exponent is below this: the parser's limit, which str can always print.
+_EXPONENT_LIMIT = 10**MAX_NUMBER_DIGITS
+
+
 def _check_exponent(e, what: str) -> None:
     if isinstance(e, Infinity):
         return
     _check_int(e, what)
     if e < 0:
         raise InvalidArgumentError(f"{what} must be nonnegative, got {_shown(e)}")
-    if e >= 10**MAX_NUMBER_DIGITS:  # the parser's limit, which str can always print
+    if e >= _EXPONENT_LIMIT:
         raise InvalidArgumentError(f"{what} must be below 10**{MAX_NUMBER_DIGITS}, got {_shown(e)}")
 
 
@@ -182,27 +186,14 @@ class SupernaturalNumber:
 #: The empty product.
 ONE = SupernaturalNumber()
 
-# One token per match: a number, a word, '*' or '^' in group 1, or any other
-# non-space character in group 2.
-_TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z]+|[*^])|(\S))")
+# One token per match, in group 1: a number, a word, '*' or '^'.
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z]+|[*^])")
 
-
-def _scan(text: str) -> Iterator[tuple[str, int]]:
-    """(token, position) pairs of the text as they are matched, then ("", len(text)).
-
-    A bad character or a number longer than MAX_NUMBER_DIGITS digits raises
-    SteinitzSyntaxError when the scan reaches it.
-    """
-    for m in _TOKEN.finditer(text):
-        tok = m[1]
-        if tok is None:
-            raise SteinitzSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
-        if len(tok) > MAX_NUMBER_DIGITS and tok.isdigit():
-            raise SteinitzSyntaxError(
-                f"number longer than {MAX_NUMBER_DIGITS} digits", m.start(1)
-            )
-        yield tok, m.start(1)
-    yield "", len(text)  # the end of the text
+# The two scan errors: a character that starts no token, and the first digit of a
+# number longer than MAX_NUMBER_DIGITS digits.  Each search takes time linear in the
+# text; the lookbehind keeps the second from retrying inside every digit run.
+_BAD_CHARACTER = re.compile(r"[^\s0-9A-Za-z*^]")
+_LONG_NUMBER = re.compile(rf"(?<![0-9])[0-9]{{{MAX_NUMBER_DIGITS + 1}}}")
 
 
 def parse_steinitz(text: str) -> SupernaturalNumber:
@@ -217,66 +208,69 @@ def parse_steinitz(text: str) -> SupernaturalNumber:
     ``rest`` fixes the exponent of every prime not listed explicitly (at most
     one ``rest`` term; absent means 0).  The single digit ``1`` is accepted
     as the empty product.  A number longer than MAX_NUMBER_DIGITS digits is
-    refused.  The terms are read from the scan as it goes, and an error in a
-    term is raised only after the rest of the text is scanned, so a bad
-    character anywhere is reported before an error in a term.  Errors carry
-    the position of the offending token.  Each base is proven prime once.
+    refused.  The text is searched for a bad character and an overlong
+    number before any term is read, so such an error anywhere is reported
+    before an error in a term.  Errors carry the position of the offending
+    token.  Each base is proven prime once.
     """
     if not isinstance(text, str):
         raise ArgumentTypeError(f"expected expression text, got {text!r}")
-    tokens = _scan(text)
+    bad = _BAD_CHARACTER.search(text)
+    end = len(text) if bad is None else bad.start()
+    number = _LONG_NUMBER.search(text, 0, end)  # only the first scan error counts
+    if number is not None:
+        raise SteinitzSyntaxError(f"number longer than {MAX_NUMBER_DIGITS} digits", number.start())
+    if bad is not None:
+        raise SteinitzSyntaxError(f"unexpected character {bad[0]!r}", end)
+    # (token, position) pairs as they are matched, then ("", len(text)) for the end.
+    tokens = chain(((m[1], m.start(1)) for m in _TOKEN.finditer(text)), [("", len(text))])
     exceptions: dict[int, Exponent] = {}
     default: Exponent | None = None
-    try:
-        head, at = next(tokens)
-        while True:
-            if not head:
-                raise SteinitzSyntaxError("unexpected end of expression", at)
-            if not (head.isdigit() or head == "rest"):
-                raise SteinitzSyntaxError(f"unexpected {head!r}", at)
-            base = int(head) if head.isdigit() else None
-            exp: Exponent = 1
+    head, at = next(tokens)
+    while True:
+        if not head:
+            raise SteinitzSyntaxError("unexpected end of expression", at)
+        if not (head.isdigit() or head == "rest"):
+            raise SteinitzSyntaxError(f"unexpected {head!r}", at)
+        base = int(head) if head.isdigit() else None
+        exp: Exponent = 1
+        sep, where = next(tokens)
+        if sep == "^":
+            if base == 1:
+                raise SteinitzSyntaxError("'1' does not take an exponent", where)
+            word, where = next(tokens)
+            if word.isdigit():
+                exp = int(word)
+            elif word == "inf":
+                exp = INF
+            else:
+                got = word or "end of expression"
+                raise SteinitzSyntaxError(
+                    f"expected a natural number or 'inf', got {got!r}", where
+                )
             sep, where = next(tokens)
-            if sep == "^":
-                if base == 1:
-                    raise SteinitzSyntaxError("'1' does not take an exponent", where)
-                word, where = next(tokens)
-                if word.isdigit():
-                    exp = int(word)
-                elif word == "inf":
-                    exp = INF
-                else:
-                    got = word or "end of expression"
-                    raise SteinitzSyntaxError(
-                        f"expected a natural number or 'inf', got {got!r}", where
-                    )
-                sep, where = next(tokens)
-            elif base is None:
-                raise SteinitzSyntaxError("'rest' requires an explicit exponent", at)
-            if base is None:
-                if default is not None:
-                    raise DuplicateRestError(
-                        f"'rest' appears more than once (at position {at})"
-                    )
-                default = exp
-            elif base != 1:
-                # A base seen before was proven then, so it is not proven again.
-                if base in exceptions:
-                    raise DuplicatePrimeError(
-                        f"prime {base} appears more than once (at position {at})"
-                    )
-                if not is_prime(base):
-                    raise NotPrimeError(f"{base} is not prime (at position {at})")
-                exceptions[base] = exp
-            if sep != "*":
-                if sep:
-                    raise SteinitzSyntaxError(f"unexpected {sep!r}", where)
-                break
-            head, at = next(tokens)
-    except SteinitzError:
-        for _ in tokens:  # a scan error later in the text wins
-            pass
-        raise
+        elif base is None:
+            raise SteinitzSyntaxError("'rest' requires an explicit exponent", at)
+        if base is None:
+            if default is not None:
+                raise DuplicateRestError(
+                    f"'rest' appears more than once (at position {at})"
+                )
+            default = exp
+        elif base != 1:
+            # A base seen before was proven then, so it is not proven again.
+            if base in exceptions:
+                raise DuplicatePrimeError(
+                    f"prime {base} appears more than once (at position {at})"
+                )
+            if not is_prime(base):
+                raise NotPrimeError(f"{base} is not prime (at position {at})")
+            exceptions[base] = exp
+        if sep != "*":
+            if sep:
+                raise SteinitzSyntaxError(f"unexpected {sep!r}", where)
+            break
+        head, at = next(tokens)
     return SupernaturalNumber._trusted(
         0 if default is None else default, sorted(exceptions.items())
     )
@@ -383,8 +377,13 @@ def _pointwise(
 
 
 def mul(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
-    """Pointwise exponent addition, with INF absorbing."""
-    return _pointwise(operator.add, s, t)
+    """Pointwise exponent addition, with INF absorbing; a finite sum of
+    _EXPONENT_LIMIT or more raises InvalidArgumentError."""
+    product = _pointwise(operator.add, s, t)
+    for p, e in [(None, product.default_exp), *product.exceptions]:
+        if not isinstance(e, Infinity) and e >= _EXPONENT_LIMIT:
+            _check_exponent(e, "default exponent" if p is None else f"exponent of {p}")
+    return product
 
 
 def lcm(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
@@ -457,7 +456,8 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
 
     q is read by read_rational.  Each exponent moves by v_p(m) - v_p(n) with
     INF absorbing; an exponent that would become negative raises
-    DenominatorDoesNotDivideError.  m and n are each factored once, and not
+    DenominatorDoesNotDivideError, and one that would reach _EXPONENT_LIMIT
+    raises InvalidArgumentError.  m and n are each factored once, and not
     at all when equal to 1.
     """
     q = read_rational(q, "scale factor")
@@ -484,6 +484,8 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
                     f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
                 )
             e += delta
+            if e >= _EXPONENT_LIMIT:
+                _check_exponent(e, f"exponent of {p}")
         out.append((p, e))
     out += ex[i:]
     return SupernaturalNumber._trusted(s.default_exp, out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -20,10 +21,12 @@ from steinitz import (
     FactorizationError,
     Infinity,
     MatrixStage,
+    SteinitzSyntaxError,
     SupernaturalNumber,
     is_prime,
     scale,
 )
+from steinitz.errors import MAX_NUMBER_DIGITS
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: A prime outside PRIME_POOL: its exponent is the default of every value
@@ -256,3 +259,22 @@ def pairwise_enumerate(s: SupernaturalNumber, bound: int) -> list[SupernaturalNu
                 seen.add(value)
                 out.append(value)
     return out
+
+
+# One token per match: a number, a word, '*' or '^' in group 1, or any other
+# non-space character in group 2.
+_SCAN_TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z]+|[*^])|(\S))")
+
+
+def first_scan_error(text: str) -> SteinitzSyntaxError | None:
+    """The scan error parse_steinitz must report for text, found token by token.
+
+    The first token that is a bad character or a number longer than
+    MAX_NUMBER_DIGITS digits, as the error for it, or None when no token is.
+    """
+    for m in _SCAN_TOKEN.finditer(text):
+        if m[1] is None:
+            return SteinitzSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        if len(m[1]) > MAX_NUMBER_DIGITS and m[1].isdigit():
+            return SteinitzSyntaxError(f"number longer than {MAX_NUMBER_DIGITS} digits", m.start(1))
+    return None

@@ -45,12 +45,12 @@ from steinitz import (
     scale,
     verify_corner_scaling,
 )
-from steinitz import cli, supernatural, tower
+from steinitz import cli, tower
 from steinitz.cli import main
 from steinitz.tower import MAX_STAGE_ORDER, IdempotentElement, MatrixStage
 from steinitz.primes import set_default_trial_bound
 from steinitz.supernatural import MAX_NUMBER_DIGITS
-from helpers import _primes_below, random_supernatural, supernaturals
+from helpers import _primes_below, first_scan_error, random_supernatural, supernaturals
 
 
 class TestParse:
@@ -164,20 +164,25 @@ class TestParse:
         with pytest.raises(SteinitzSyntaxError):
             parse_steinitz("2+3")
 
-    @given(st.text(alphabet="12345679*^ @restinf", max_size=24))
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from("12345679*^ @restinf\u00a0\u2003\u0663\u00e9"),
+                st.integers(MAX_NUMBER_DIGITS - 1, MAX_NUMBER_DIGITS + 1).map("9".__mul__),
+            ),
+            max_size=24,
+        ).map("".join)
+    )
     def test_errors_match_a_scan_of_the_whole_text_first(self, text):
-        """Streaming the scan changes no outcome: scanning everything first gives the same one."""
-        try:
-            list(supernatural._scan(text))
-        except SteinitzSyntaxError as scan_error:
-            expected = scan_error
-        else:
-            expected = None
+        """A scan error anywhere in the text is the error reported, as when the text is
+        scanned token by token before any term is read."""
+        expected = first_scan_error(text)
         try:
             parsed = parse_steinitz(text)
         except SteinitzError as error:
             if expected is not None:
                 assert (type(error), str(error)) == (type(expected), str(expected))
+                assert error.position == expected.position
         else:
             assert expected is None
             assert parse_steinitz(str(parsed)) == parsed
@@ -784,6 +789,16 @@ class TestMainOutputs:
         assert captured.out == ""
         assert captured.err.endswith(message)
 
+    def test_product_past_the_digit_cap_exits_two(self, capsys):
+        nines = "9" * MAX_NUMBER_DIGITS
+        assert main(["mul", f"2^{nines}", "3"]) == 0
+        assert main(["mul", f"2^{nines}", f"2^{nines}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"2^{nines}*3\n"
+        assert captured.err.endswith(
+            "error: exponent of 2 must be below 10**1000, got a 3323-bit number\n"
+        )
+
     def test_integer_argument_at_the_digit_cap(self, capsys):
         power = str(10 ** (MAX_NUMBER_DIGITS - 1))
         assert len(power) == MAX_NUMBER_DIGITS
@@ -794,6 +809,27 @@ class TestMainOutputs:
         assert capsys.readouterr().err.endswith(
             f"argument order: number longer than {MAX_NUMBER_DIGITS} digits\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            # int() alone reads these: other scripts' digits, '_' and a leading '+'.
+            (["decompose", "2^3", "\u0662"], 2, "argument order: invalid int value: '\u0662'\n"),
+            (["decompose", "2^3", "1_0"], 2, "argument order: invalid int value: '1_0'\n"),
+            (["enumerate", "2", "+2"], 2, "argument bound: invalid int value: '+2'\n"),
+            (["--trial-bound", "1\u0660\u0660", "parse", "2"], 2,
+             "argument --trial-bound: invalid int value: '1\u0660\u0660'\n"),
+            # Unchanged: a negative number is read, and other text is refused.
+            (["decompose", "2^3", "-3"], 2, "error: matrix order must be a positive integer, got -3\n"),
+            (["decompose", "2^3", "x"], 2, "argument order: invalid int value: 'x'\n"),
+            (["decompose", "2^3", "2.5"], 2, "argument order: invalid int value: '2.5'\n"),
+            (["decompose", "2^3", " 2 "], 0, ""),
+            (["verify", "--seed", "-3", "--max-order", "4", "--trials", "1"], 0, ""),
+        ],
+    )
+    def test_integer_arguments_are_ascii_digits(self, capsys, argv, code, err):
+        assert main(argv) == code
+        assert capsys.readouterr().err.endswith(err)
 
     def test_trial_bound_does_not_leak(self, capsys):
         from steinitz.primes import get_default_trial_bound

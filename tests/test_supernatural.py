@@ -145,6 +145,28 @@ class TestConstruction:
             assert parse_steinitz(str(s)) == s
             assert str(top) in repr(s)
 
+    def test_computed_exponent_has_at_most_the_parser_digits(self):
+        """mul and scale refuse a finite exponent the text could not hold, so str never
+        prints one that parse_steinitz refuses or that CPython cannot print at all."""
+        top = 10**1000 - 1
+        s = SupernaturalNumber(0, {2: top})
+        message = "^exponent of 2 must be below 10\\*\\*1000, got a 33(22|23)-bit number$"
+        for call in (lambda: mul(s, s), lambda: scale(s, 2), lambda: scale(s, Fraction(6, 5))):
+            with pytest.raises(InvalidArgumentError, match=message):
+                call()
+        with pytest.raises(InvalidArgumentError, match="^default exponent must be below"):
+            mul(SupernaturalNumber(top), SupernaturalNumber(1))
+        w = SupernaturalNumber(0, {2: 10**999})
+        with pytest.raises(InvalidArgumentError):
+            for _ in range(11_000):
+                w = mul(w, w)
+        assert exponent_at(w, 2) == 8 * 10**999
+        for t in (mul(s, ONE), scale(s, Fraction(3, 1)), scale(s, Fraction(1, 2))):
+            assert parse_steinitz(str(t)) == t
+        # INF absorbs, and only the primes scale raises are checked.
+        assert mul(SupernaturalNumber(0, {2: INF}), s) == SupernaturalNumber(0, {2: INF})
+        assert scale(SupernaturalNumber(top, {2: 0}), 2) == SupernaturalNumber(top, {2: 1})
+
     def test_rejects_inexact_exponent(self):
         with pytest.raises(TypeError):
             SupernaturalNumber(0, {2: 1.5})

@@ -204,6 +204,24 @@ class TestEntryContract:
         ]
         assert offenders == [], f"raise ValueError or TypeError at {offenders}"
 
+    def test_every_import_is_used(self):
+        """Each name a package module imports is used there (__init__ re-exports its imports)."""
+        offenders = []
+        for path in sorted(Path(tower.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in used:
+                            offenders.append(f"{path.name}:{node.lineno} {name}")
+        assert offenders == [], f"unused imports: {offenders}"
+
     def test_no_floating_point_in_the_package(self):
         """No float constant and no float(...) call anywhere in the package."""
         offenders = [
