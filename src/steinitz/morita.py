@@ -166,8 +166,8 @@ def _morita_class(a: AlgebraDescriptor, bound: int) -> Iterator[SupernaturalNumb
     q * st(A) exists exactly when no prime divides n more often than its
     finite exponent in st(A) allows.  Two such q give the same member exactly
     when they agree at every prime whose exponent in st(A) is finite, so the
-    key of m/n is the pair of finite parts: the product of p**v over the
-    prime powers p**v of m (and of n) whose exponent in st(A) is finite.
+    key of m/n is the pair of finite parts: the product of the prime powers
+    p**v of m (and of n) at the primes whose exponent in st(A) is finite.
     Each k up to the bound is factored once, and scale is called only for a
     new member.
     """
@@ -178,14 +178,14 @@ def _morita_class(a: AlgebraDescriptor, bound: int) -> Iterator[SupernaturalNumb
         )
     s = a.steinitz
     listed = dict(s.exceptions)
-    factors = [factorize(k).items() for k in range(1, bound + 1)]
-    finite_part = [0] + [
+    factors = [()] + [factorize(k).items() for k in range(1, bound + 1)]
+    finite_part = [
         prod(p**v for p, v in f if not is_infinite(listed.get(p, s.default_exp)))
         for f in factors
     ]
     seen: set[tuple[int, int]] = set()
     for n in range(1, bound + 1):
-        if any(v > listed.get(p, s.default_exp) for p, v in factors[n - 1]):
+        if any(v > listed.get(p, s.default_exp) for p, v in factors[n]):
             continue
         n_part = finite_part[n]
         for m in range(1, bound + 1):
