@@ -56,8 +56,8 @@ _INTEGER = re.compile(r"\s*-?[0-9]+\s*")
 
 
 def _integer(text: str) -> int:
-    """An integer argument; more than MAX_NUMBER_DIGITS digits are refused unread."""
-    if sum(c.isdigit() for c in text) > MAX_NUMBER_DIGITS:
+    """An integer argument; more than MAX_NUMBER_DIGITS ASCII digits are refused unread."""
+    if sum(map(text.count, "0123456789")) > MAX_NUMBER_DIGITS:
         raise argparse.ArgumentTypeError(f"number longer than {MAX_NUMBER_DIGITS} digits")
     if _INTEGER.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")

@@ -8,6 +8,10 @@ from fractions import Fraction
 #: as text that parses back.  Error messages show an int up to it.
 MAX_NUMBER_DIGITS = 1000
 
+#: 10**MAX_NUMBER_DIGITS: every finite exponent is below it, and an error message prints
+#: an int below it in full.
+_NUMBER_LIMIT = 10**MAX_NUMBER_DIGITS
+
 
 def _shown(x) -> str:
     """A value the caller supplied, as an error message shows it: str for numbers, else repr.
@@ -18,7 +22,7 @@ def _shown(x) -> str:
     """
     if isinstance(x, Fraction):
         return _shown(x.numerator) + (f"/{_shown(x.denominator)}" if x.denominator > 1 else "")
-    if isinstance(x, int) and abs(x) >= 10**MAX_NUMBER_DIGITS:
+    if isinstance(x, int) and abs(x) >= _NUMBER_LIMIT:
         return f"a {'negative ' * (x < 0)}{x.bit_length()}-bit number"
     return repr(x)
 

@@ -29,6 +29,8 @@ from .errors import (
 from .primes import factorize
 from .supernatural import (
     SupernaturalNumber,
+    _connecting_gaps,
+    _connecting_ratio,
     is_infinite,
     mul,
     rationally_connected,
@@ -83,8 +85,8 @@ def morita_ratio(a: AlgebraDescriptor, b: AlgebraDescriptor) -> Fraction | None:
 
 
 def are_morita_equivalent(a: AlgebraDescriptor, b: AlgebraDescriptor) -> bool:
-    """Countable-dimensional criterion: rationally connected invariants."""
-    return morita_ratio(a, b) is not None
+    """Countable-dimensional criterion: rationally connected invariants (no ratio is built)."""
+    return _connecting_gaps(a.steinitz, b.steinitz) is not None
 
 
 def matrix_over(a: AlgebraDescriptor, k: int) -> AlgebraDescriptor:
@@ -122,16 +124,18 @@ def proper_corner_compare(
     """Compare st(A)/st(B) against 1 inside the Morita class.
 
     LESS means A is isomorphic to a proper corner of B; INCOMPARABLE means
-    the two are not Morita equivalent at all.
+    the two are not Morita equivalent at all.  Exponent gaps that all point
+    one way decide the order; only gaps both ways build the ratio, which
+    raises RatioTooLargeError past MAX_RATIO_BITS.
     """
-    q = rationally_connected(b.steinitz, a.steinitz)
-    if q is None:
+    gaps = _connecting_gaps(b.steinitz, a.steinitz)
+    if gaps is None:
         return CornerComparison.INCOMPARABLE
-    if q < 1:
-        return CornerComparison.LESS
-    if q == 1:
+    up, down = gaps
+    if not (up or down):
         return CornerComparison.EQUAL
-    return CornerComparison.GREATER
+    greater = _connecting_ratio(up, down) > 1 if up and down else bool(up)
+    return CornerComparison.GREATER if greater else CornerComparison.LESS
 
 
 def decompose_matrix_factor(a: AlgebraDescriptor, n: int) -> AlgebraDescriptor:

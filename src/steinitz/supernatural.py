@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     MAX_NUMBER_DIGITS,
+    _NUMBER_LIMIT,
     ArgumentTypeError,
     DenominatorDoesNotDivideError,
     DuplicatePrimeError,
@@ -90,17 +91,13 @@ def is_infinite(e: Exponent) -> bool:
     return isinstance(e, Infinity)
 
 
-#: Every finite exponent is below this: the parser's limit, which str can always print.
-_EXPONENT_LIMIT = 10**MAX_NUMBER_DIGITS
-
-
 def _check_exponent(e, what: str) -> None:
     if isinstance(e, Infinity):
         return
     _check_int(e, what)
     if e < 0:
         raise InvalidArgumentError(f"{what} must be nonnegative, got {_shown(e)}")
-    if e >= _EXPONENT_LIMIT:
+    if e >= _NUMBER_LIMIT:
         raise InvalidArgumentError(f"{what} must be below 10**{MAX_NUMBER_DIGITS}, got {_shown(e)}")
 
 
@@ -189,11 +186,13 @@ ONE = SupernaturalNumber()
 # One token per match, in group 1: a number, a word, '*' or '^'.
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z]+|[*^])")
 
-# The two scan errors: a character that starts no token, and the first digit of a
-# number longer than MAX_NUMBER_DIGITS digits.  Each search takes time linear in the
-# text; the lookbehind keeps the second from retrying inside every digit run.
+# The two scan errors: a character that starts no token, and a number longer than
+# MAX_NUMBER_DIGITS digits.  Each search takes time linear in the text.  The second
+# runs on " " + text, so that every number follows the non-digit its pattern starts
+# with: the engine then skips digit runs in C, where a lookbehind was tried at every
+# position, and the match starts at the index of the number's first digit in text.
 _BAD_CHARACTER = re.compile(r"[^\s0-9A-Za-z*^]")
-_LONG_NUMBER = re.compile(rf"(?<![0-9])[0-9]{{{MAX_NUMBER_DIGITS + 1}}}")
+_LONG_NUMBER = re.compile(rf"[^0-9][0-9]{{{MAX_NUMBER_DIGITS + 1}}}")
 
 
 def parse_steinitz(text: str) -> SupernaturalNumber:
@@ -217,7 +216,7 @@ def parse_steinitz(text: str) -> SupernaturalNumber:
         raise ArgumentTypeError(f"expected expression text, got {text!r}")
     bad = _BAD_CHARACTER.search(text)
     end = len(text) if bad is None else bad.start()
-    number = _LONG_NUMBER.search(text, 0, end)  # only the first scan error counts
+    number = _LONG_NUMBER.search(" " + text, 0, end + 1)  # only the first scan error counts
     if number is not None:
         raise SteinitzSyntaxError(f"number longer than {MAX_NUMBER_DIGITS} digits", number.start())
     if bad is not None:
@@ -378,10 +377,10 @@ def _pointwise(
 
 def mul(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
     """Pointwise exponent addition, with INF absorbing; a finite sum of
-    _EXPONENT_LIMIT or more raises InvalidArgumentError."""
+    _NUMBER_LIMIT or more raises InvalidArgumentError."""
     product = _pointwise(operator.add, s, t)
     for p, e in [(None, product.default_exp), *product.exceptions]:
-        if not isinstance(e, Infinity) and e >= _EXPONENT_LIMIT:
+        if not isinstance(e, Infinity) and e >= _NUMBER_LIMIT:
             _check_exponent(e, "default exponent" if p is None else f"exponent of {p}")
     return product
 
@@ -422,17 +421,15 @@ def _bounded_prod(powers: Sequence[tuple[int, int]], need: str) -> int:
     return prod(p**e for p, e in powers)
 
 
-def rationally_connected(
+def _connecting_gaps(
     s1: SupernaturalNumber, s2: SupernaturalNumber
-) -> Fraction | None:
-    """The reduced positive rational q with s2 = q * s1, or None.
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    """The exponent gaps (p, b - a) where s2 is above s1 and (p, a - b) where it is
+    below, or None when the two are not rationally connected.
 
     Two representable Steinitz numbers are connected exactly when their
     default exponents agree and every prime where they differ carries a
-    finite exponent on both sides; q is then the finite product of the
-    exponent differences.  The numerator and the denominator are each built
-    by _bounded_prod, so RatioTooLargeError is raised before a power is taken
-    when either would exceed MAX_RATIO_BITS.
+    finite exponent on both sides.
     """
     if s1.default_exp != s2.default_exp:
         return None
@@ -447,8 +444,27 @@ def rationally_connected(
             up.append((p, b - a))
         else:
             down.append((p, a - b))
+    return up, down
+
+
+def _connecting_ratio(up: Sequence[tuple[int, int]], down: Sequence[tuple[int, int]]) -> Fraction:
+    """The ratio the gaps of _connecting_gaps give, its terms built by _bounded_prod."""
     need = "the connecting ratio may need {} bits in one term"
     return Fraction(_bounded_prod(up, need), _bounded_prod(down, need))
+
+
+def rationally_connected(
+    s1: SupernaturalNumber, s2: SupernaturalNumber
+) -> Fraction | None:
+    """The reduced positive rational q with s2 = q * s1, or None.
+
+    q is the finite product of the exponent gaps of _connecting_gaps.  The
+    numerator and the denominator are each built by _bounded_prod, so
+    RatioTooLargeError is raised before a power is taken when either would
+    exceed MAX_RATIO_BITS.
+    """
+    gaps = _connecting_gaps(s1, s2)
+    return None if gaps is None else _connecting_ratio(*gaps)
 
 
 def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
@@ -456,7 +472,7 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
 
     q is read by read_rational.  Each exponent moves by v_p(m) - v_p(n) with
     INF absorbing; an exponent that would become negative raises
-    DenominatorDoesNotDivideError, and one that would reach _EXPONENT_LIMIT
+    DenominatorDoesNotDivideError, and one that would reach _NUMBER_LIMIT
     raises InvalidArgumentError.  m and n are each factored once, and not
     at all when equal to 1.
     """
@@ -484,7 +500,7 @@ def scale(s: SupernaturalNumber, q: Fraction | int | str) -> SupernaturalNumber:
                     f"prime {p}: exponent {_shown(e)} cannot absorb {delta} (q={_shown(q)})"
                 )
             e += delta
-            if e >= _EXPONENT_LIMIT:
+            if e >= _NUMBER_LIMIT:
                 _check_exponent(e, f"exponent of {p}")
         out.append((p, e))
     out += ex[i:]

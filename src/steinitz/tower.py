@@ -256,10 +256,11 @@ def _echelon(
     The one elimination routine behind rank, column bases and inverses.
     Rows are rescaled to primitive integer vectors (row space unchanged),
     then eliminated by cross-multiplication with per-row content stripping
-    to control coefficient growth.  Rows with a zero in the pivot column are
-    left untouched, so block structure costs nothing.  With ``reduced`` each
-    pivot column is also cleared above its pivot, so the pivot block is
-    diagonal (its entries need not be 1).
+    to control coefficient growth, in one pass per pivot over the rows below
+    it, and with ``reduced`` over the rows above it too, so the pivot block is
+    diagonal (its entries need not be 1).  Each update reads only its own row
+    and the pivot row, which the pass leaves as it is.  Rows with a zero in the
+    pivot column are left untouched, so block structure costs nothing.
 
     Eliminated rows are stored as exact-size lists (slices and
     concatenations, divided in place), not over-allocated comprehension
@@ -292,24 +293,14 @@ def _echelon(
         prow = work[rank]
         pval = prow[c]
         ptail = prow[c:]
-        for i in range(rank + 1, nrows):
+        for i in range(0 if reduced else rank + 1, nrows):
             row = work[i]
             v = row[c]
-            if v:
-                # Rows below the pivot are zero before column c.
-                work[i] = _strip_content(
-                    row[:c] + [pval * x - v * y for x, y in zip(row[c:], ptail)]
-                )
-        if reduced:
-            for i in range(rank):
-                row = work[i]
-                v = row[c]
-                if v:
-                    # Rows above are not zero before column c; the pivot row is.
-                    work[i] = _strip_content(
-                        [pval * x for x in row[:c]]
-                        + [pval * x - v * y for x, y in zip(row[c:], ptail)]
-                    )
+            if v and i != rank:
+                # The pivot row is zero before column c, and so is a row below it; a row
+                # above is not, and its head is scaled by pval.
+                head = row[:c] if i > rank else [pval * x for x in row[:c]]
+                work[i] = _strip_content(head + [pval * x - v * y for x, y in zip(row[c:], ptail)])
         pivots.append(c)
         rank += 1
         if rank == nrows or rank == width:

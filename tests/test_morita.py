@@ -13,6 +13,7 @@ from steinitz import (
     CornerComparison,
     InvalidArgumentError,
     NotADivisorError,
+    RatioTooLargeError,
     SupernaturalNumber,
     are_isomorphic,
     are_morita_equivalent,
@@ -26,9 +27,11 @@ from steinitz import (
     mul,
     parse_steinitz,
     proper_corner_compare,
+    rationally_connected,
     tensor,
 )
 from steinitz import morita, supernatural
+from steinitz.cli import main
 from helpers import (
     OUTSIDE_PRIME,
     PRIME_POOL,
@@ -247,6 +250,59 @@ class TestProperCornerCompare:
             assert result is CornerComparison.EQUAL
         else:
             assert result is CornerComparison.LESS
+
+
+class TestDecisionsWithoutTheRatio:
+    """Morita equivalence and the corner order read the exponent gaps; only the
+    corner order of gaps that point both ways builds the ratio."""
+
+    BIG = AlgebraDescriptor(SupernaturalNumber(0, {2: 20000}))
+    UNIT = AlgebraDescriptor(ONE)
+    OTHER = AlgebraDescriptor(SupernaturalNumber(0, {3: 20000}))
+
+    def test_one_way_gaps_decide_past_the_ratio_cap(self):
+        assert are_morita_equivalent(self.BIG, self.UNIT)
+        assert are_morita_equivalent(self.BIG, self.OTHER)
+        assert proper_corner_compare(self.BIG, self.UNIT) is CornerComparison.GREATER
+        assert proper_corner_compare(self.UNIT, self.BIG) is CornerComparison.LESS
+        message = "the connecting ratio may need 40000 bits in one term"
+        for call in (morita_ratio, morita_witness):
+            with pytest.raises(RatioTooLargeError, match=message):
+                call(self.BIG, self.UNIT)
+
+    def test_two_way_gaps_still_build_the_ratio(self):
+        with pytest.raises(RatioTooLargeError, match="may need 40000 bits"):
+            proper_corner_compare(self.BIG, self.OTHER)
+        with pytest.raises(RatioTooLargeError, match="may need 40000 bits"):
+            proper_corner_compare(self.OTHER, self.BIG)
+
+    def test_cli_compare_answers_and_the_ratio_commands_refuse(self, capsys):
+        assert main(["compare", "2^20000", "1"]) == 0
+        assert main(["compare", "1", "2^20000"]) == 0
+        assert capsys.readouterr().out == "GREATER\nLESS\n"
+        for argv in (
+            ["morita", "2^20000", "1"],
+            ["ratio", "2^20000", "1"],
+            ["witness", "2^20000", "1"],
+            ["compare", "2^20000", "3^20000"],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                "error: the connecting ratio may need 40000 bits in one term, "
+                f"above the limit of {supernatural.MAX_RATIO_BITS}\n"
+            )
+
+    @given(descriptors, descriptors)
+    def test_agrees_with_the_ratio(self, a, b):
+        q = rationally_connected(b.steinitz, a.steinitz)
+        assert are_morita_equivalent(a, b) is (q is not None)
+        expected = (
+            CornerComparison.INCOMPARABLE if q is None
+            else CornerComparison.LESS if q < 1
+            else CornerComparison.EQUAL if q == 1
+            else CornerComparison.GREATER
+        )
+        assert proper_corner_compare(a, b) is expected
 
 
 class TestEnumerate:

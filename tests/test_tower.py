@@ -790,6 +790,33 @@ class TestRowKernels:
             assert got == [x // g for x in scaled], row
             assert {type(x) for x in got} == {int}
 
+    # sha256 of repr(_echelon(rows, reduced)) over _echelon_corpus() in both modes,
+    # recorded while the rows above a pivot had an update loop of their own.
+    ECHELON_SHA256 = "d39d6095dff9cb8f602389ac59ebb6f23830abc513c16be0948b872836ed4bef"
+
+    @staticmethod
+    def _echelon_corpus():
+        """Seeded row lists, n <= 40: integer, rational, low-rank and rectangular
+        matrices, seeded idempotents and embed stages of them."""
+        rng = random.Random(2424)
+        for n in (1, 2, 3, 5, 8, 13, 21, 40):
+            yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            yield random_matrix(rng, n).entries
+            yield random_low_rank_matrix(rng, n, rng.randint(1, n)).entries
+            yield [[rng.choice((0, 0, 0, 1, -2, F(5, 3))) for _ in range(n)] for _ in range(n // 2 + 1)]
+            yield [[rng.choice((0, 1, -1, 7)) for _ in range(n // 2 + 1)] for _ in range(n)]
+            e = random_idempotent(n, rng.randint(0, n), rng.randint(0, 99)).matrix
+            yield e.entries
+            if n <= 13:
+                yield embed(e, 3).entries
+
+    def test_echelon_pinned(self):
+        digest = hashlib.sha256()
+        for rows in self._echelon_corpus():
+            for reduced in (False, True):
+                digest.update(repr(tower._echelon(rows, reduced)).encode())
+        assert digest.hexdigest() == self.ECHELON_SHA256
+
 
 class TestRectangularProduct:
     def test_matches_a_triple_loop(self):
