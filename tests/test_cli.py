@@ -819,17 +819,17 @@ class TestMainOutputs:
             (["enumerate", "2", "+2"], 2, "argument bound: invalid int value: '+2'\n"),
             (["--trial-bound", "1\u0660\u0660", "parse", "2"], 2,
              "argument --trial-bound: invalid int value: '1\u0660\u0660'\n"),
-            # Only ASCII digits count towards the cap, which is checked before the pattern.
-            (["decompose", "2^3", "\u0662" * 1001], 2,
-             "argument order: invalid int value: '" + "\u0662" * 1001 + "'\n"),
-            (["decompose", "2^3", "1" * 1001 + "x"], 2,
-             "argument order: number longer than 1000 digits\n"),
             # Unchanged: a negative number is read, and other text is refused.
             (["decompose", "2^3", "-3"], 2, "error: matrix order must be a positive integer, got -3\n"),
             (["decompose", "2^3", "x"], 2, "argument order: invalid int value: 'x'\n"),
             (["decompose", "2^3", "2.5"], 2, "argument order: invalid int value: '2.5'\n"),
             (["decompose", "2^3", " 2 "], 0, ""),
             (["verify", "--seed", "-3", "--max-order", "4", "--trials", "1"], 0, ""),
+            # Only ASCII digits count towards the cap, which is checked before the pattern.
+            (["decompose", "2^3", "\u0662" * 1001], 2,
+             "argument order: invalid int value: '" + "\u0662" * 1001 + "'\n"),
+            (["decompose", "2^3", "1" * 1001 + "x"], 2,
+             "argument order: number longer than 1000 digits\n"),
         ],
     )
     def test_integer_arguments_are_ascii_digits(self, capsys, argv, code, err):
