@@ -21,10 +21,10 @@ refuse an order or rank that is not an ``int`` (or is a ``bool``), and an order
 above ``MAX_STAGE_ORDER``, before allocating anything.  The caps
 (``MAX_STAGE_ORDER``, ``SPAN_ORDER_CAP``, ``MAX_TRIALS``) are module constants
 that no call can move; ``RANK_ORDER_CAP`` and ``FULLNESS_ORDER_CAP`` are
-verify's draw bounds.  An ``IdempotentElement`` proves e*e = e when it is
-built and reads its rank off the trace, the rank of an idempotent over the
-rationals.  A seeded idempotent e = B C, with B = P[:, :r] and C = P^-1[:r, :]
-for a seeded unimodular P, is certified by C B = I_r: e*e = B (C B) C = e.
+verify's draw bounds.  ``IdempotentElement(matrix)`` proves e*e = e and reads
+its rank off the trace, the rank of an idempotent over the rationals.  A seeded
+e = B C, with B = P[:, :r] and C = P^-1[:r, :] for a seeded unimodular P, is
+certified instead by C B = I_r (e*e = B (C B) C = e, tr e = r): ``_certified``.
 
 One fraction-free elimination routine (``_echelon``) serves all the linear
 algebra: ranks and span dimensions count its pivots, corner bases take its
@@ -44,7 +44,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, count, islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -76,9 +76,9 @@ RANK_ORDER_CAP = 96
 #: Largest order verify's corner-span suite draws.
 FULLNESS_ORDER_CAP = 6
 #: Largest order ``corner_span_dimension`` takes: it eliminates n**2 rows of
-#: width n**2, which takes up to about 60 ms at n = 12 and grows about as n**6.
+#: width n**2, which takes up to about 40 ms at n = 12 and grows about as n**6.
 SPAN_ORDER_CAP = 12
-#: Most trials one verification run accepts: 500 take about 2 s at max order 96.
+#: Most trials one verification run accepts: 500 take about 0.5 s at max order 96.
 MAX_TRIALS = 500
 #: Largest first order, number of stages and multiplicity ``sample_tower`` draws.
 _MAX_FIRST, _MAX_DEPTH, _MAX_MULTIPLICITY = 24, 3, 4
@@ -260,7 +260,7 @@ def _echelon(
     it, and with ``reduced`` over the rows above it too, so the pivot block is
     diagonal (its entries need not be 1).  Each update reads only its own row
     and the pivot row, which the pass leaves as it is.  Rows with a zero in the
-    pivot column are left untouched, so block structure costs nothing.
+    pivot column are skipped, but every pivot visits every row: ``exact_rank`` splits blocks.
 
     Eliminated rows are stored as exact-size lists (slices and
     concatenations, divided in place), not over-allocated comprehension
@@ -309,8 +309,18 @@ def _echelon(
 
 
 def exact_rank(a: MatrixStage) -> int:
-    """Rank of a over the rational field, computed exactly."""
-    return len(_echelon(a.entries)[1])
+    """Rank of a over the rational field, computed exactly, one diagonal block at a time.
+
+    A cut at t, where every row above t ends before column t and every row from t
+    on starts at t or later, splits off a diagonal block; a dense stage is one block.
+    """
+    rows, n = a.entries, a.order
+    firsts = [next(compress(count(), row), n) for row in rows]
+    lasts = [next(compress(count(n - 1, -1), reversed(row)), -1) for row in rows]
+    reach = list(accumulate(lasts, max))
+    floor = list(accumulate(reversed(firsts), min))[::-1]
+    cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
+    return sum(len(_echelon([row[s:t] for row in rows[s:t]])[1]) for s, t in zip(cuts, cuts[1:]))
 
 
 def relative_rank(a: MatrixStage) -> Fraction:
@@ -350,7 +360,7 @@ def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
 
 @dataclass(frozen=True)
 class IdempotentElement:
-    """An exact idempotent e at one matrix stage; construction proves e*e = e.
+    """An exact idempotent e at one matrix stage; the public constructor proves e*e = e.
 
     Its ``rank`` is read off the matrix: over the rationals the rank of an
     idempotent is its trace, so no elimination is run.
@@ -363,6 +373,14 @@ class IdempotentElement:
         if self.matrix * self.matrix != self.matrix:
             raise InvalidArgumentError("matrix is not idempotent")
         object.__setattr__(self, "rank", int(self.matrix.trace()))
+
+    @classmethod
+    def _certified(cls, matrix: MatrixStage, rank: int) -> IdempotentElement:
+        """e = B C with C B = I_r checked, so e*e = B (C B) C = e and tr e = r: no proof runs."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "matrix", matrix)
+        object.__setattr__(element, "rank", rank)
+        return element
 
     @property
     def stage_order(self) -> int:
@@ -386,6 +404,17 @@ def _below(bits, m: int) -> int:
     return r
 
 
+def _packed_masks(n: int) -> tuple[int, int, int, int]:
+    """``(ones, over, under, high)`` for n fields in [-9, 9] packed as q = sum of x * 256**i.
+
+    No field exceeds the bound iff ``not (q + over) & high``, none is below -bound iff
+    ``(q + under) & high == high``: each field plus 127 - bound or 128 + bound is a byte.
+    """
+    ones = ((1 << 8 * n) - 1) // 255
+    bound = _UNIMODULAR_ENTRY_BOUND
+    return ones, (127 - bound) * ones, (128 + bound) * ones, 0x80 * ones
+
+
 def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
     """Rows of a seeded integer matrix with det +-1, entries in [-3, 3], and of its inverse.
 
@@ -393,10 +422,10 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
     entry bound survives, with the inverse tracked by the matching column
     operations.  Exact integer inverses keep conjugation growth bounded.
 
-    The inverse is kept transposed while it is built, so each of its column
-    operations is one row operation: a sign-swap swaps and negates rows, and
-    a shear is one list comprehension over two rows.  It is transposed back
-    once at the end.
+    Each row of the matrix is packed into one int, the sum of x * 256**i, so a shear
+    is one int sum, a sign-swap one negation and the bound test two masks
+    (``_packed_masks``).  The inverse is kept transposed, so each of its column
+    operations is one row operation: a swap and negation, or one comprehension.
 
     The draws read ``rng.getrandbits`` directly, through ``_below``: a
     sign-swap is ``_below(bits, 4) == 3``, a shear factor indexes the four
@@ -404,9 +433,10 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
     ``i = _below(bits, n)`` and ``j = _below(bits, n - 1)``, with n - 1 in
     place of i, which is uniform over the ordered pairs.
     """
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mat = [1 << 8 * i for i in range(n)]
     inv_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     bound = _UNIMODULAR_ENTRY_BOUND
+    ones, over, under, high = _packed_masks(n)
     if n > 1:
         bits = rng.getrandbits
         for _ in range(6 * n):
@@ -416,17 +446,17 @@ def _unimodular(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[
             if j == i:
                 j = n - 1
             if swap:
-                mat[i], mat[j] = mat[j], mat[i]
-                mat[i] = [-x for x in mat[i]]
+                mat[i], mat[j] = -mat[j], mat[i]
                 inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
                 inv_t[i] = [-x for x in inv_t[i]]
             else:
                 c = _SHEAR_FACTORS[_below(bits, 4)]
-                new_row = [x + c * y for x, y in zip(mat[j], mat[i])]
-                if -bound <= min(new_row) and max(new_row) <= bound:
+                new_row = mat[j] + c * mat[i]
+                if not (new_row + over) & high and (new_row + under) & high == high:
                     mat[j] = new_row
                     inv_t[i] = [x - c * y for x, y in zip(inv_t[i], inv_t[j])]
-    return mat, [[col[k] for col in inv_t] for k in range(n)]
+    rows = [[x - bound for x in (row + bound * ones).to_bytes(n, "little")] for row in mat]
+    return rows, [[col[k] for col in inv_t] for k in range(n)]
 
 
 def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
@@ -434,8 +464,8 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
 
     Conjugates diag(1,..,1,0,..,0) by a seeded unimodular integer matrix P,
     as the one product e = B C of B = P[:, :r] and C = P^-1[:r, :], certified
-    by C B = I_r (a ``RuntimeError`` if not), so the result is exactly
-    idempotent with integer entries and is reproducible per int seed.
+    by C B = I_r (a ``RuntimeError`` if not), the proof that it is exactly
+    idempotent (no e*e is formed); it has integer entries and is reproducible per int seed.
     """
     _check_positive_int(n, "order")
     _check_stage_order(n)
@@ -449,7 +479,7 @@ def random_idempotent(n: int, r: int, seed: int) -> IdempotentElement:
     b, c = [row[:r] for row in p], p_inv[:r]
     if _matmul_rows(c, b) != [[int(i == j) for j in range(r)] for i in range(r)]:
         raise RuntimeError("seeded idempotent factors fail C B = I_r")
-    return IdempotentElement(MatrixStage._trusted(_matmul_rows(b, c)))
+    return IdempotentElement._certified(MatrixStage._trusted(_matmul_rows(b, c)), r)
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,87 @@ class TestExactRank:
             m = random_matrix(rng, n)
             assert exact_rank(m) == matrix_rank_oracle(m)
 
+    @staticmethod
+    def _block_stages():
+        """Seeded stages with diagonal blocks: embed and kron stages of integer and
+        rational blocks, then zero rows and columns, and one nonzero just outside
+        a block boundary."""
+        rng = random.Random(2525)
+        for _ in range(110):
+            m = rng.randint(1, 8)
+            e = random_idempotent(m, rng.randint(0, m), rng.randrange(2**32)).matrix
+            b = random_matrix(rng, rng.randint(1, 4))
+            k = rng.randint(1, 5)
+            yield embed(e, k)
+            yield embed(b, k)
+            yield kron(b, MatrixStage.rank_projector(3, rng.randint(0, 3)))
+            scales = [rng.choice((0, 1, -2, F(2, 3))) for _ in range(k)]
+            yield kron(MatrixStage.diagonal(scales), e)
+            rows = [list(row) for row in embed(e, k).entries]
+            zero_row, zero_col = rng.randrange(m * k), rng.randrange(m * k)
+            rows[zero_row] = [0] * (m * k)
+            for row in rows:
+                row[zero_col] = 0
+            yield MatrixStage(rows)
+            if k > 1:
+                rows = [list(row) for row in embed(b, k).entries]
+                t = b.order * rng.randint(1, k - 1)
+                i, j = rng.choice(((t - 1, t), (t, t - 1)))
+                rows[i][j] = rng.choice((1, -2, F(1, 3)))
+                yield MatrixStage(rows)
+
+    def test_block_wise_rank_matches_gauss_rank(self):
+        count = 0
+        for stage in self._block_stages():
+            assert exact_rank(stage) == gauss_rank(stage.entries), stage.entries
+            count += 1
+        assert count >= 500
+
+    @staticmethod
+    def _recording_echelon(monkeypatch):
+        """Patch ``tower._echelon`` to record the (row count, row widths) of each call."""
+        calls = []
+        real = tower._echelon
+
+        def recording(rows, reduced=False):
+            rows = list(rows)
+            calls.append((len(rows), {len(row) for row in rows}))
+            return real(rows, reduced)
+
+        monkeypatch.setattr(tower, "_echelon", recording)
+        return calls
+
+    def test_one_elimination_per_embedded_block(self, monkeypatch):
+        calls = self._recording_echelon(monkeypatch)
+        for m, r, k in ((24, 12, 16), (5, 2, 4), (12, 11, 3), (96, 40, 4), (2, 1, 2)):
+            e = random_idempotent(m, r, seed=m).matrix
+            calls.clear()
+            assert exact_rank(e) == r
+            assert calls == [(m, {m})], (m, r)
+            calls.clear()
+            assert exact_rank(embed(e, k)) == k * r
+            assert calls == [(m, {m})] * k, (m, r, k)
+
+    def test_a_nonzero_outside_a_boundary_merges_two_blocks(self, monkeypatch):
+        calls = self._recording_echelon(monkeypatch)
+        b = MatrixStage([[1, 2, 3], [2, 4, 6], [1, 1, F(1, 2)]])
+        three, six, nine = (3, {3}), (6, {6}), (9, {9})
+        cases = {
+            (2, 3): [six, three, three],
+            (3, 2): [six, three, three],
+            (5, 6): [three, six, three],
+            (9, 8): [three, three, six],
+            # Further out, the one entry ties the blocks between its row and column.
+            (5, 9): [three, nine],
+            (9, 5): [three, nine],
+        }
+        for (i, j), expected in cases.items():
+            rows = [list(row) for row in embed(b, 4).entries]
+            rows[i][j] = 5
+            calls.clear()
+            assert exact_rank(MatrixStage(rows)) == gauss_rank(rows)
+            assert calls == expected, (i, j)
+
     def test_matches_oracle_on_low_rank_matrices(self):
         rng = random.Random(5150)
         for _ in range(60):
@@ -380,7 +461,11 @@ class TestRandomIdempotent:
             monkeypatch.undo()
 
     def test_one_cubic_product_per_idempotent(self, monkeypatch):
-        """C B (r x n x r), then e = B C (n x r x n), then the constructor's e e (n x n x n)."""
+        """C B (r x n x r), then e = B C (n x r x n); the certificate stands in for e e.
+
+        Rank 0 builds the zero stage through the public constructor, whose
+        proof is the one n x n x n product.
+        """
         shapes = []
         real = tower._matmul_rows
 
@@ -392,7 +477,7 @@ class TestRandomIdempotent:
         for n, r in ((1, 1), (5, 2), (24, 12), (40, 39), (96, 40)):
             shapes.clear()
             random_idempotent(n, r, seed=n)
-            assert shapes == [(r, n, r), (n, r, n), (n, n, n)], (n, r)
+            assert shapes == [(r, n, r), (n, r, n)], (n, r)
         shapes.clear()
         random_idempotent(7, 0, seed=1)
         assert shapes == [(7, 7, 7)]
@@ -408,6 +493,15 @@ class TestRandomIdempotent:
                 for s in range(3):
                     digest.update(repr(random_idempotent(n, r, s).matrix.entries).encode())
         assert digest.hexdigest() == self.VALUES_SHA256
+
+    def test_public_constructor_accepts_every_certified_element(self):
+        """Each seeded idempotent of the pinned corpus passes the public proof unchanged."""
+        for n in range(1, 41):
+            for r in sorted({0, 1, n // 2, n}):
+                for s in range(3):
+                    e = random_idempotent(n, r, s)
+                    assert (type(e.rank), e.rank) == (int, r)
+                    assert IdempotentElement(e.matrix) == e, (n, r, s)
 
     @pytest.mark.parametrize("seed", [None, 7.5, "7", True, Fraction(1, 2)])
     def test_seed_must_be_an_int(self, seed):
@@ -668,6 +762,33 @@ class TestUnimodularPinned:
         assert digest(range(1, 30)) == (
             "1aa19cfe7f99ae5c0f092043ed67ca987e78f85f90ab724caf18ca025a8a6cf8"
         )
+        # Recorded while each row of P was still a list of ints, not one packed int.
+        assert digest(range(30, 97)) == (
+            "e92eaaf1a95a86a2745fc2e48fbd3871ce7f99232aa8a1b4a847b37ccfc0d13c"
+        )
+        assert digest((383, 384)) == (
+            "da9df8d9c73b5f8135eb619b04921ecd2c622cb3864f4f1b3e644486ad829e58"
+        )
+
+    def test_packed_bound_test_matches_min_and_max(self):
+        """The two masks agree with -bound <= min(row) and max(row) <= bound on fields in [-9, 9]."""
+        bound = tower._UNIMODULAR_ENTRY_BOUND
+        rng = random.Random(9009)
+        for n in (1, 2, 3, 8, 96, 384):
+            ones, over, under, high = tower._packed_masks(n)
+            assert ones == sum(256**i for i in range(n))
+            for v in range(-9, 10):
+                for pos in sorted({0, n // 2, n - 1}):
+                    for fill in (range(-bound, bound + 1), range(-9, 10), [0]):
+                        row = [rng.choice(fill) for _ in range(n)]
+                        row[pos] = v
+                        q = sum(x * 256**i for i, x in enumerate(row))
+                        within = -bound <= min(row) and max(row) <= bound
+                        masked = not (q + over) & high and (q + under) & high == high
+                        assert masked == within, (n, pos, v, row)
+                        if within:
+                            unpacked = (q + bound * ones).to_bytes(n, "little")
+                            assert [x - bound for x in unpacked] == row
 
     def test_draws_only_getrandbits(self):
         for n in (1, 2, 3, 5, 21, 22, 40, 96):
