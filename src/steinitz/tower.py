@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice
@@ -313,6 +314,11 @@ def exact_rank(a: MatrixStage) -> int:
 
     A cut at t, where every row above t ends before column t and every row from t
     on starts at t or later, splits off a diagonal block; a dense stage is one block.
+    The blocks are counted, keyed by their rows, and each distinct one is eliminated
+    once, its rank counted as often as it occurs, next to its repeats or not.  Equal
+    ``int`` and ``Fraction`` entries hash and compare equal, and equal blocks have
+    equal rank, so k embedded copies of an order-m block cost one order-m
+    elimination.  Nothing is kept once the call returns.
     """
     rows, n = a.entries, a.order
     firsts = [next(compress(count(), row), n) for row in rows]
@@ -320,7 +326,8 @@ def exact_rank(a: MatrixStage) -> int:
     reach = list(accumulate(lasts, max))
     floor = list(accumulate(reversed(firsts), min))[::-1]
     cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
-    return sum(len(_echelon([row[s:t] for row in rows[s:t]])[1]) for s, t in zip(cuts, cuts[1:]))
+    blocks = Counter(tuple([row[s:t] for row in rows[s:t]]) for s, t in zip(cuts, cuts[1:]))
+    return sum(k * len(_echelon(block)[1]) for block, k in blocks.items())
 
 
 def relative_rank(a: MatrixStage) -> Fraction:

@@ -49,7 +49,7 @@ from steinitz import cli, tower
 from steinitz.cli import main
 from steinitz.tower import MAX_STAGE_ORDER, IdempotentElement, MatrixStage
 from steinitz.primes import set_default_trial_bound
-from steinitz.supernatural import MAX_NUMBER_DIGITS
+from steinitz.supernatural import MAX_NUMBER_DIGITS, read_rational
 from helpers import _primes_below, first_scan_error, random_supernatural, supernaturals
 
 
@@ -569,6 +569,34 @@ class TestErrorContract:
         edge = 10**MAX_NUMBER_DIGITS - 1
         with pytest.raises(InvalidArgumentError, match=f"got {edge}$"):
             run_verification(0, trials=edge)
+
+    def test_rank_text_digit_limit_is_inclusive(self, capsys):
+        """Numbers of exactly MAX_NUMBER_DIGITS digits are read; one digit more is refused
+        with the same message through the library and through ``steinitz corner``."""
+        big = "1" + "0" * (MAX_NUMBER_DIGITS - 1)
+        one = "0" * (MAX_NUMBER_DIGITS - 1) + "1"
+        assert len(big) == len(one) == MAX_NUMBER_DIGITS
+        half = f"{big}/2{big[1:]}"
+        accepted = {one: Fraction(1), f"1/{big}": Fraction(1, int(big)), half: Fraction(1, 2)}
+        for text, value in accepted.items():
+            assert read_rational(text, "relative rank", at_most_one=True) == value
+        assert read_rational(big, "scale factor") == int(big)
+        a = AlgebraDescriptor(parse_steinitz("2^inf*5^inf"))
+        for text in accepted:
+            assert corner(a, text) == a
+            assert main(["corner", "2^inf*5^inf", text]) == 0
+            assert capsys.readouterr() == ("2^inf*5^inf\n", "")
+        for text in ("0" + one, "1/0" + big, "0" + big + "/" + big, big + "/0" + big):
+            message = (
+                f"relative rank must be 'm' or 'm/n' with at most {MAX_NUMBER_DIGITS} digits "
+                f"each, got {text!r}"
+            )
+            with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+                read_rational(text, "relative rank", at_most_one=True)
+            with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+                corner(a, text)
+            assert main(["corner", "2^inf*5^inf", text]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_internal_errors_are_not_reported_as_input_errors(self, monkeypatch):
         """main maps only SteinitzError to exit 2; a bug raises through."""
