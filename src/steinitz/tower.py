@@ -313,12 +313,12 @@ def exact_rank(a: MatrixStage) -> int:
     """Rank of a over the rational field, computed exactly, one diagonal block at a time.
 
     A cut at t, where every row above t ends before column t and every row from t
-    on starts at t or later, splits off a diagonal block; a dense stage is one block.
-    The blocks are counted, keyed by their rows, and each distinct one is eliminated
-    once, its rank counted as often as it occurs, next to its repeats or not.  Equal
-    ``int`` and ``Fraction`` entries hash and compare equal, and equal blocks have
-    equal rank, so k embedded copies of an order-m block cost one order-m
-    elimination.  Nothing is kept once the call returns.
+    on starts at t or later, splits off a diagonal block; a dense stage is one block,
+    eliminated as it is.  Two or more blocks are counted, keyed by their rows, and
+    each distinct one is eliminated once, its rank counted as often as it occurs,
+    next to its repeats or not.  Equal ``int`` and ``Fraction`` entries hash and
+    compare equal, and equal blocks have equal rank, so k embedded copies of an
+    order-m block cost one order-m elimination.  Nothing is kept once the call returns.
     """
     rows, n = a.entries, a.order
     firsts = [next(compress(count(), row), n) for row in rows]
@@ -326,6 +326,10 @@ def exact_rank(a: MatrixStage) -> int:
     reach = list(accumulate(lasts, max))
     floor = list(accumulate(reversed(firsts), min))[::-1]
     cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
+    if len(cuts) == 2:
+        # One block cannot repeat.  Keying it hashed every entry, a Python call per
+        # Fraction, and cost 9-33% of a dense rational rank at orders 48 down to 8.
+        return len(_echelon(rows)[1])
     blocks = Counter(tuple([row[s:t] for row in rows[s:t]]) for s, t in zip(cuts, cuts[1:]))
     return sum(k * len(_echelon(block)[1]) for block, k in blocks.items())
 

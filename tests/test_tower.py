@@ -389,6 +389,17 @@ class TestExactRank:
             assert exact_rank(p) == m * c
             assert len(calls) <= 2, (n, m, c)
 
+    def test_a_one_block_stage_is_not_keyed(self):
+        """A dense stage cannot repeat a block, so its entries are never hashed."""
+
+        class Unhashed(F):
+            def __hash__(self):
+                raise AssertionError("a one-block stage was hashed")
+
+        for n in (1, 2, 5):
+            rows = [[Unhashed(i * j + 1, 1 + i) for j in range(n)] for i in range(n)]
+            assert exact_rank(MatrixStage(rows)) == gauss_rank(rows) == min(n, 2)
+
     def test_matches_oracle_on_low_rank_matrices(self):
         rng = random.Random(5150)
         for _ in range(60):
