@@ -327,8 +327,8 @@ def exact_rank(a: MatrixStage) -> int:
     floor = list(accumulate(reversed(firsts), min))[::-1]
     cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
     if len(cuts) == 2:
-        # One block cannot repeat.  Keying it hashed every entry, a Python call per
-        # Fraction, and cost 9-33% of a dense rational rank at orders 48 down to 8.
+        # One block cannot repeat, and keying it would hash every entry, a Python call
+        # per Fraction: 9-33% of a dense rational rank at orders 48 down to 8.
         return len(_echelon(rows)[1])
     blocks = Counter(tuple([row[s:t] for row in rows[s:t]]) for s, t in zip(cuts, cuts[1:]))
     return sum(k * len(_echelon(block)[1]) for block, k in blocks.items())
