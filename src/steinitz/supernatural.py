@@ -379,14 +379,9 @@ def mul(s: SupernaturalNumber, t: SupernaturalNumber) -> SupernaturalNumber:
     """Pointwise exponent addition, with INF absorbing; a finite sum of
     _NUMBER_LIMIT or more raises InvalidArgumentError."""
     product = _pointwise(operator.add, s, t)
-    entries = [(None, product.default_exp), *product.exceptions]
-    # One max over the finite exponents; they are walked only past the limit, to name the
-    # first one out of range.  The class test is cheaper than isinstance; an instance of a
-    # subclass of Infinity passes it but exceeds every int, so it only costs the walk.
-    if max([e for _, e in entries if e.__class__ is not Infinity], default=0) >= _NUMBER_LIMIT:
-        for p, e in entries:
-            if not isinstance(e, Infinity) and e >= _NUMBER_LIMIT:
-                _check_exponent(e, "default exponent" if p is None else f"exponent of {p}")
+    for p, e in [(None, product.default_exp), *product.exceptions]:
+        if not isinstance(e, Infinity) and e >= _NUMBER_LIMIT:
+            _check_exponent(e, "default exponent" if p is None else f"exponent of {p}")
     return product
 
 

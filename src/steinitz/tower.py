@@ -42,10 +42,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, chain, compress, count, groupby, islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -313,12 +312,9 @@ def exact_rank(a: MatrixStage) -> int:
     """Rank of a over the rational field, computed exactly, one diagonal block at a time.
 
     A cut at t, where every row above t ends before column t and every row from t
-    on starts at t or later, splits off a diagonal block; a dense stage is one block,
-    eliminated as it is.  Two or more blocks are counted, keyed by their rows, and
-    each distinct one is eliminated once, its rank counted as often as it occurs,
-    next to its repeats or not.  Equal ``int`` and ``Fraction`` entries hash and
-    compare equal, and equal blocks have equal rank, so k embedded copies of an
-    order-m block cost one order-m elimination.  Nothing is kept once the call returns.
+    on starts at t or later, splits off a diagonal block; a dense stage is one block.
+    A run of equal blocks side by side, such as the k copies in ``embed(e, k)``, is
+    eliminated once and its rank counted k times.
     """
     rows, n = a.entries, a.order
     firsts = [next(compress(count(), row), n) for row in rows]
@@ -326,12 +322,8 @@ def exact_rank(a: MatrixStage) -> int:
     reach = list(accumulate(lasts, max))
     floor = list(accumulate(reversed(firsts), min))[::-1]
     cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
-    if len(cuts) == 2:
-        # One block cannot repeat, and keying it would hash every entry, a Python call
-        # per Fraction: 9-33% of a dense rational rank at orders 48 down to 8.
-        return len(_echelon(rows)[1])
-    blocks = Counter(tuple([row[s:t] for row in rows[s:t]]) for s, t in zip(cuts, cuts[1:]))
-    return sum(k * len(_echelon(block)[1]) for block, k in blocks.items())
+    blocks = ([row[s:t] for row in rows[s:t]] for s, t in zip(cuts, cuts[1:]))
+    return sum(len(list(run)) * len(_echelon(block)[1]) for block, run in groupby(blocks))
 
 
 def relative_rank(a: MatrixStage) -> Fraction:
