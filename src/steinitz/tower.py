@@ -323,7 +323,8 @@ def exact_rank(a: MatrixStage) -> int:
     floor = list(accumulate(reversed(firsts), min))[::-1]
     cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
     blocks = ([row[s:t] for row in rows[s:t]] for s, t in zip(cuts, cuts[1:]))
-    return sum(len(list(run)) * len(_echelon(block)[1]) for block, run in groupby(blocks))
+    # A run is counted, not listed: a list would hold every copy of its block at once.
+    return sum(sum(1 for _ in run) * len(_echelon(block)[1]) for block, run in groupby(blocks))
 
 
 def relative_rank(a: MatrixStage) -> Fraction:
