@@ -196,20 +196,19 @@ def _check_stage_order(n: int) -> None:
 
 
 def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Row-list product of an m x k and a k x n factor, skipping zero entries.
+    """Row-list product of an m x k and a k x n factor, walking only nonzero entries.
 
-    Skipping zeros helps block matrices; an entry no product reaches stays int 0.
+    The nonzero columns of each row of b are listed once, so each product is one
+    nonzero a[i][k] times one nonzero b[k][j]; an entry no product reaches stays int 0.
     """
     n = len(b[0])
+    support = [list(compress(range(n), brow)) for brow in b]
     out = [[0] * n for _ in range(len(a))]
     for arow, orow in zip(a, out):
-        for aik, brow in zip(arow, b):
-            if not aik:
-                continue
-            for j in range(n):
-                bkj = brow[j]
-                if bkj:
-                    orow[j] = orow[j] + aik * bkj
+        for aik, brow, cols in zip(arow, b, support):
+            if aik:
+                for j in cols:
+                    orow[j] = orow[j] + aik * brow[j]
     return out
 
 
@@ -313,8 +312,17 @@ def exact_rank(a: MatrixStage) -> int:
 
     A cut at t, where every row above t ends before column t and every row from t
     on starts at t or later, splits off a diagonal block; a dense stage is one block.
-    A run of equal blocks side by side, such as the k copies in ``embed(e, k)``, is
-    eliminated once and its rank counted k times.
+    Each distinct block is eliminated once per call and its rank counted once per copy,
+    such as the k copies in ``embed(e, k)``.
+    """
+    return _exact_rank(a, {})
+
+
+def _exact_rank(a: MatrixStage, known: dict[tuple, int]) -> int:
+    """``exact_rank``, reading and filling ``known``, a map from block rows to rank.
+
+    Equal blocks have equal rank (equal int and ``Fraction`` values hash equal), so
+    ``verify_corner_scaling`` shares one map across a tower, whose stages repeat blocks.
     """
     rows, n = a.entries, a.order
     firsts = [next(compress(count(), row), n) for row in rows]
@@ -322,9 +330,14 @@ def exact_rank(a: MatrixStage) -> int:
     reach = list(accumulate(lasts, max))
     floor = list(accumulate(reversed(firsts), min))[::-1]
     cuts = [0, *[t for t in range(1, n) if reach[t - 1] < t <= floor[t]], n]
-    blocks = ([row[s:t] for row in rows[s:t]] for s, t in zip(cuts, cuts[1:]))
+    blocks = (tuple([row[s:t] for row in rows[s:t]]) for s, t in zip(cuts, cuts[1:]))
+    rank = 0
     # A run is counted, not listed: a list would hold every copy of its block at once.
-    return sum(sum(1 for _ in run) * len(_echelon(block)[1]) for block, run in groupby(blocks))
+    for block, run in groupby(blocks):
+        if block not in known:
+            known[block] = len(_echelon(block)[1])
+        rank += sum(1 for _ in run) * known[block]
+    return rank
 
 
 def relative_rank(a: MatrixStage) -> Fraction:
@@ -344,20 +357,19 @@ def embed(a: MatrixStage, k: int) -> MatrixStage:
 
 
 def kron(a: MatrixStage, b: MatrixStage) -> MatrixStage:
-    """Kronecker (tensor) product; order multiplies, rank multiplies."""
+    """Kronecker (tensor) product; order multiplies, rank multiplies.
+
+    A zero entry of a extends a row by one shared run of m int zeros.
+    """
     n, m = a.order, b.order
     _check_stage_order(n * m)
-    ae, be = a.entries, b.entries
+    zeros = (0,) * m
     out = []
-    for i1 in range(n):
-        for i2 in range(m):
+    for arow in a.entries:
+        for brow in b.entries:
             row = []
-            for j1 in range(n):
-                x = ae[i1][j1]
-                if x:
-                    row.extend([x * y for y in be[i2]])
-                else:
-                    row.extend([0] * m)
+            for x in arow:
+                row.extend([x * y for y in brow] if x else zeros)
             out.append(row)
     return MatrixStage._trusted(out)
 
@@ -691,10 +703,11 @@ def verify_corner_scaling(
     element = random_idempotent(first, int(r * first), seed)
     stage_matrix = element.matrix
     observed: list[int] = []
+    known: dict[tuple, int] = {}
     for idx, order in enumerate(tower.orders):
         if idx:
             stage_matrix = embed(stage_matrix, tower.multiplicities[idx - 1])
-        rank = exact_rank(stage_matrix)
+        rank = _exact_rank(stage_matrix, known)
         observed.append(rank)
         checks.append(_check("relative-rank", order, r, Fraction(rank, order)))
         checks.append(_check("corner-order", order, int(r * order), rank))

@@ -87,6 +87,24 @@ def plain_product(a, b):
     ]
 
 
+def plain_kron(a, b):
+    """Textbook Kronecker product of square row lists, one four-index loop.
+
+    Entry (i1 m + i2, j1 m + j2) is a[i1][j1] * b[i2][j2], or int 0 where a[i1][j1]
+    is zero, which is the library's entry-type rule for a zero factor.
+    """
+    n, m = len(a), len(b)
+    return [
+        [
+            a[i1][j1] * b[i2][j2] if a[i1][j1] else 0
+            for j1 in range(n)
+            for j2 in range(m)
+        ]
+        for i1 in range(n)
+        for i2 in range(m)
+    ]
+
+
 def matrix_rank_oracle(a: MatrixStage) -> int:
     return gauss_rank(a.entries)
 

@@ -46,6 +46,7 @@ from helpers import (
     gauss_inverse,
     gauss_rank,
     matrix_rank_oracle,
+    plain_kron,
     plain_product,
     random_low_rank_matrix,
     random_matrix,
@@ -317,15 +318,27 @@ class TestExactRank:
             assert exact_rank(embed(e, k)) == k * r
             assert calls == [(m, {m})], (m, r, k)
 
+    def test_one_elimination_per_verified_tower(self, monkeypatch):
+        """Every stage after the first repeats the first stage's blocks, whose ranks
+        ``verify_corner_scaling`` keeps for the whole tower."""
+        calls = self._recording_echelon(monkeypatch)
+        for orders, seed in (((6, 24, 96), 23), ((12, 24, 96), 5), ((24, 48, 192), 7)):
+            first = orders[0]
+            calls.clear()
+            report = verify_corner_scaling(from_natural(orders[-1]), Tower(orders), F(1, 2), seed)
+            assert report.all_passed
+            # The seeded e is dense: one block of the first order.
+            assert calls == [(first, {first})], orders
+
     def test_a_nonzero_outside_a_boundary_merges_two_blocks(self, monkeypatch):
         calls = self._recording_echelon(monkeypatch)
         b = MatrixStage([[1, 2, 3], [2, 4, 6], [1, 1, F(1, 2)]])
         three, six, nine = (3, {3}), (6, {6}), (9, {9})
         cases = {
-            # Equal blocks side by side are eliminated once.
+            # Each distinct block is eliminated once, side by side or apart.
             (2, 3): [six, three],
             (3, 2): [six, three],
-            (5, 6): [three, six, three],
+            (5, 6): [three, six],
             (9, 8): [three, six],
             # Further out, the one entry ties the blocks between its row and column.
             (5, 9): [three, nine],
@@ -377,13 +390,22 @@ class TestExactRank:
             count += 1
         assert count >= 200
 
+    def test_shared_block_ranks_match_fresh_ranks(self):
+        """One map of block ranks shared over many stages, as a verify tower shares it."""
+        known = {}
+        count = 0
+        for stage in self._repeated_block_stages():
+            rank = tower._exact_rank(stage, known)
+            assert rank == exact_rank(stage) == gauss_rank(stage.entries), stage.entries
+            count += 1
+        assert count >= 200
+
     def test_elimination_counts_are_pinned(self, monkeypatch):
-        """Complexity as counters, not the wall clock: a run of equal blocks is eliminated once."""
+        """Complexity as counters, not the wall clock: each block is eliminated once per
+        ``exact_rank`` call, and once per tower in ``verify_corner_scaling``."""
         calls = self._recording_echelon(monkeypatch)
         assert run_verification(7, 96, 20).all_passed
-        # One order-17 e of seed 7 splits into blocks of orders 1, 1 and 15, so embed(e, 2)
-        # repeats them apart, and two of its blocks are eliminated twice.
-        assert len(calls) <= 53
+        assert len(calls) <= 36
         for n, m, c in ((4, 2, 3), (6, 0, 5), (5, 5, 2), (12, 7, 8), (96, 40, 1)):
             calls.clear()
             p = kron(MatrixStage.rank_projector(n, m), MatrixStage.identity(c))
@@ -411,6 +433,27 @@ class TestKronAndEmbed:
         top_left = kron(a, b).entries
         assert top_left[0][:4] == (F(0), F(1), F(0), F(2))
         assert kron(a, b).order == 4
+
+    def test_kron_matches_a_four_index_loop(self):
+        """Values and entry types, over int, Fraction, mixed and zero factors."""
+        rng = random.Random(2929)
+        pools = ((0, 1, -2, 3), (F(0), F(1, 2), F(-3), F(2)), (0, 1, F(0), F(2), F(-1, 3)), (0,))
+        special = MatrixStage.diagonal([2, F(2), 0])
+        pairs = 0
+        for _ in range(60):
+            a, b = (
+                MatrixStage([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+                for pool, n in ((rng.choice(pools), rng.randint(1, 4)) for _ in range(2))
+            )
+            for x, y in ((a, b), (b, a), (special, a), (a, special)):
+                got = [list(row) for row in kron(x, y).entries]
+                expect = plain_kron(x.entries, y.entries)
+                assert got == expect, (x, y)
+                assert [list(map(type, row)) for row in got] == [
+                    list(map(type, row)) for row in expect
+                ], (x, y)
+                pairs += 1
+        assert pairs >= 200
 
     def test_rank_multiplicative_sample(self):
         rng = random.Random(2112)
@@ -1008,6 +1051,57 @@ class TestRectangularProduct:
         got = tower._matmul_rows([[F(1, 2), 0], [0, 0]], [[0, F(2)], [F(5), 1]])
         assert got == [[0, 1], [0, 0]]
         assert [type(x) for row in got for x in row] == [int, Fraction, int, int]
+
+    def test_sparse_factors_match_a_triple_loop(self):
+        """Factors at least 80% zero, Fraction(0) among them: values are the textbook
+        product's, an entry is a Fraction iff a nonzero Fraction term reaches it, and an
+        entry no nonzero pair reaches is int 0."""
+        rng = random.Random(2727)
+        pick = (1, -2, 3, F(3, 4), F(-1, 3), F(0), F(2))
+
+        def sparse(h, w):
+            """An h x w factor with int 0 outside a fifth of its positions, drawn at random."""
+            rows = [[0] * w for _ in range(h)]
+            for at in rng.sample(range(h * w), h * w // 5):
+                rows[at // w][at % w] = rng.choice(pick)
+            return rows
+
+        unreached = 0
+        shapes = ((1, 10, 1), (3, 10, 7), (7, 10, 3), (10, 10, 10), (12, 5, 20), (24, 24, 24))
+        for m, k, n in shapes:
+            for _ in range(6):
+                a, b = sparse(m, k), sparse(k, n)
+                got = tower._matmul_rows(a, b)
+                assert got == plain_product(a, b)
+                for i in range(m):
+                    for j in range(n):
+                        terms = [a[i][t] * b[t][j] for t in range(k) if a[i][t] and b[t][j]]
+                        assert type(got[i][j]) is type(sum(terms)), (a, b, i, j)
+                        unreached += not terms
+        assert unreached
+
+    def test_one_multiplication_per_nonzero_pair(self):
+        """Each product is one nonzero a[i][k] times one nonzero b[k][j], counted by
+        an int whose ``__mul__`` counts."""
+        products = []
+
+        class CountingInt(int):
+            def __mul__(self, other):
+                products.append(1)
+                return int(self) * other
+
+        rng = random.Random(2828)
+        pick = (0, 0, 0, 1, -2, 3)
+        for m, k, n in ((1, 1, 1), (4, 6, 3), (9, 9, 9), (16, 5, 12)):
+            for _ in range(5):
+                a = [[CountingInt(rng.choice(pick)) for _ in range(k)] for _ in range(m)]
+                b = [[CountingInt(rng.choice(pick)) for _ in range(n)] for _ in range(k)]
+                products.clear()
+                got = tower._matmul_rows(a, b)
+                nonzero_b = [sum(map(bool, row)) for row in b]
+                pairs = sum(nonzero_b[t] for row in a for t, x in enumerate(row) if x)
+                assert len(products) == pairs, (m, k, n)
+                assert got == plain_product(a, b)
 
 
 class TestCornerSpanAndFullness:
